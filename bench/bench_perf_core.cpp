@@ -4,18 +4,23 @@
 //
 // The *_threads variants take the pool size as the second benchmark
 // argument, so `scripts/run_perf_bench.sh` records the scaling curve of
-// the parallel runtime alongside the single-threaded kernel numbers.
+// the parallel runtime alongside the single-threaded kernel numbers;
+// bm_extract_activations records the same curve for a whole-model
+// inference pass.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "augment/affine.h"
+#include "core/activation_batch.h"
 #include "detect/squeezers.h"
 #include "nn/layers.h"
+#include "pipeline/models.h"
 #include "svm/kernel.h"
 #include "svm/one_class_svm.h"
 #include "pipeline/config.h"
@@ -162,6 +167,35 @@ BENCHMARK(bm_conv_backward_threads)
     ->Arg(4)
     ->Arg(8)
     ->ArgName("threads")
+    ->UseRealTime();
+
+/// extract_activations (sequential::infer plus the activation batch) of a
+/// whole factory model: the street CNN at batch 128 and the objects
+/// DenseNet at batch 32, the batch sizes of a refit and an audit chunk.
+/// Weights are the untrained factory ones; the cost does not depend on
+/// them. Arguments: model (0 street, 1 objects), batch, threads.
+void bm_extract_activations(benchmark::State& state) {
+  thread_arg threads{state.range(2)};
+  const auto kind =
+      state.range(0) == 0 ? dataset_kind::street : dataset_kind::objects;
+  const std::unique_ptr<sequential> model = make_model(kind, 7);
+  rng gen{13};
+  const tensor x =
+      tensor::uniform({state.range(1), 3, 32, 32}, gen, 0.0f, 1.0f);
+  for (auto _ : state) {
+    activation_batch acts = extract_activations(*model, x);
+    benchmark::DoNotOptimize(acts.logits.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(bm_extract_activations)
+    ->Args({0, 128, 1})
+    ->Args({0, 128, 2})
+    ->Args({0, 128, 4})
+    ->Args({1, 32, 1})
+    ->Args({1, 32, 2})
+    ->Args({1, 32, 4})
+    ->ArgNames({"objects", "batch", "threads"})
     ->UseRealTime();
 
 void bm_kernel_matrix_threads(benchmark::State& state) {

@@ -19,7 +19,7 @@ tensor activation_batch::last_probe_features() const {
   return feat.reshape({feat.extent(0), feat.numel() / feat.extent(0)});
 }
 
-activation_batch extract_activations(sequential& model, tensor images) {
+activation_batch extract_activations(const sequential& model, tensor images) {
   if (images.dim() == 3) {
     images.reshape(
         {1, images.extent(0), images.extent(1), images.extent(2)});
@@ -28,12 +28,11 @@ activation_batch extract_activations(sequential& model, tensor images) {
     throw std::invalid_argument{
         "extract_activations: expected [N,C,H,W] images"};
   }
+  inference pass = model.infer(images);
   activation_batch out;
-  out.logits = model.forward(images, false);
+  out.logits = std::move(pass.logits);
   out.predictions = argmax_rows(out.logits);
-  const auto probes = model.probes();
-  out.probes.reserve(probes.size());
-  for (const tensor* p : probes) out.probes.push_back(*p);
+  out.probes = std::move(pass.probes);
   out.images = std::move(images);
   return out;
 }

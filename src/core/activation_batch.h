@@ -1,12 +1,11 @@
 // Shared activation-extraction entry point for the batch-first scoring
-// path (docs/SERVING.md). One probe forward pass per batch produces an
+// path (docs/SERVING.md). One inference pass per batch produces an
 // activation_batch; the deep validator, the weighted joint validator, and
 // every anomaly detector then score from it without re-running the model.
 //
-// The probe tensors are deep copies: sequential::probes() returns
-// pointers that are only valid until the next forward pass, while a
-// served batch fans out to N consumers that each may trigger further
-// forwards (e.g. feature squeezing).
+// The probe tensors are the ones sequential::infer returned: owned by the
+// batch, so a served batch can fan out to N consumers that each may run
+// further passes (e.g. feature squeezing).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +24,7 @@ struct activation_batch {
   tensor logits;
   /// argmax of `logits` per row.
   std::vector<std::int64_t> predictions;
-  /// One copied tensor per probe layer, network order.
+  /// One tensor per probe point, network order.
   std::vector<tensor> probes;
 
   std::int64_t size() const { return logits.extent(0); }
@@ -39,9 +38,10 @@ struct activation_batch {
   tensor last_probe_features() const;
 };
 
-/// Runs ONE forward pass over `images` ([N,C,H,W] or a single [C,H,W]
-/// frame) and captures logits, predictions, and all probe activations.
-/// The caller is responsible for chunking to its batch_config.
-activation_batch extract_activations(sequential& model, tensor images);
+/// Runs ONE inference pass (sequential::infer) over `images` ([N,C,H,W]
+/// or a single [C,H,W] frame) and captures logits, predictions, and all
+/// probe activations. The caller is responsible for chunking to its
+/// batch_config. Safe to call from several threads on one model.
+activation_batch extract_activations(const sequential& model, tensor images);
 
 }  // namespace dv

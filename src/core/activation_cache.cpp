@@ -32,7 +32,8 @@ activation_cache::activation_cache() : activation_cache(cache_capacity()) {}
 activation_cache::activation_cache(std::size_t capacity)
     : lru_{capacity, "activation"} {}
 
-activation_batch extract_activations_cached(sequential& model, tensor images,
+activation_batch extract_activations_cached(const sequential& model,
+                                            tensor images,
                                             activation_cache* cache) {
   if (cache == nullptr || !cache_enabled() || cache->lru().capacity() == 0) {
     return extract_activations(model, std::move(images));

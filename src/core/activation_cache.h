@@ -51,7 +51,8 @@ class activation_cache {
 /// runs the forward pass only over the rows the cache does not hold, and
 /// splices cached rows into the result. With `cache == nullptr` or
 /// caching disabled it is exactly extract_activations.
-activation_batch extract_activations_cached(sequential& model, tensor images,
+activation_batch extract_activations_cached(const sequential& model,
+                                            tensor images,
                                             activation_cache* cache);
 
 }  // namespace dv

@@ -28,29 +28,56 @@ void append_rows(tensor& dst, const tensor& block, std::int64_t total_rows,
 }
 }  // namespace
 
-void deep_validator::fit(sequential& model, const dataset& train,
+void deep_validator::fit(const sequential& model, const dataset& train,
                          const deep_validator_config& config) {
+  if (const char* error =
+          bank_settings_error(config.spatial, config.batch.max_batch)) {
+    throw std::invalid_argument{std::string{"deep_validator::fit: "} + error};
+  }
   stopwatch timer;
   trace_span fit_span{"validator.fit"};
   spatial_ = config.spatial;
   batch_ = config.batch;
 
-  // Algorithm 1, line 2: keep only correctly classified training images.
+  // Decide which probes to validate.
+  const int total_probes = model.probe_count();
+  if (total_probes == 0) {
+    throw std::invalid_argument{"deep_validator::fit: model has no probes"};
+  }
+  const int first_probe =
+      config.last_probes > 0 && config.last_probes < total_probes
+          ? total_probes - config.last_probes
+          : 0;
+  probe_indices_.clear();
+  for (int p = first_probe; p < total_probes; ++p) probe_indices_.push_back(p);
+
+  // Algorithm 1 in one pass: each training image is forwarded once, and
+  // its prediction decides whether it is kept (line 2: only correctly
+  // classified images) while its reduced features wait for the SVMs.
+  // Rows are independent (DESIGN.md §8), so a kept row's features equal a
+  // second pass over the kept images alone, bit for bit.
+  const std::int64_t total = train.size();
+  std::vector<tensor> all_features(probe_indices_.size());
+  std::vector<std::int64_t> cursors(probe_indices_.size(), 0);
   std::vector<std::int64_t> kept;
-  {
-    constexpr std::int64_t batch = 128;
-    for (std::int64_t begin = 0; begin < train.size(); begin += batch) {
-      const std::int64_t end = std::min(train.size(), begin + batch);
-      const auto preds = model.predict(train.images.slice_rows(begin, end));
-      for (std::int64_t i = begin; i < end; ++i) {
-        if (preds[static_cast<std::size_t>(i - begin)] ==
-            train.labels[static_cast<std::size_t>(i)]) {
-          kept.push_back(i);
-        }
+  for (std::int64_t begin = 0; begin < total; begin += batch_.max_batch) {
+    const std::int64_t end =
+        std::min<std::int64_t>(total, begin + batch_.max_batch);
+    const activation_batch acts =
+        extract_activations(model, train.images.slice_rows(begin, end));
+    for (std::int64_t i = begin; i < end; ++i) {
+      if (acts.predictions[static_cast<std::size_t>(i - begin)] ==
+          train.labels[static_cast<std::size_t>(i)]) {
+        kept.push_back(i);
       }
     }
+    for (std::size_t v = 0; v < probe_indices_.size(); ++v) {
+      append_rows(all_features[v],
+                  acts.probe_features(probe_indices_[v], spatial_), total,
+                  cursors[v]);
+    }
   }
-  log_info() << "deep_validator::fit: " << kept.size() << "/" << train.size()
+  log_info() << "deep_validator::fit: " << kept.size() << "/" << total
              << " training images correctly classified";
 
   // Per-class subsampling to the configured cap (keeps SVM training cheap
@@ -77,37 +104,9 @@ void deep_validator::fit(sequential& model, const dataset& train,
     }
     std::sort(kept.begin(), kept.end());
   }
-
-  const dataset fit_set = train.subset(kept);
-  const auto n = fit_set.size();
-
-  // Decide which probes to validate.
-  const int total_probes = model.probe_count();
-  if (total_probes == 0) {
-    throw std::invalid_argument{"deep_validator::fit: model has no probes"};
-  }
-  const int first_probe =
-      config.last_probes > 0 && config.last_probes < total_probes
-          ? total_probes - config.last_probes
-          : 0;
-  probe_indices_.clear();
-  for (int p = first_probe; p < total_probes; ++p) probe_indices_.push_back(p);
-
-  // Extract reduced features for every validated probe, in batches.
-  std::vector<tensor> features(probe_indices_.size());
-  std::vector<std::int64_t> cursors(probe_indices_.size(), 0);
-  for (std::int64_t begin = 0; begin < n; begin += batch_.max_batch) {
-    const std::int64_t end = std::min<std::int64_t>(n, begin + batch_.max_batch);
-    const activation_batch acts =
-        extract_activations(model, fit_set.images.slice_rows(begin, end));
-    if (acts.probe_count() != total_probes) {
-      throw std::logic_error{"deep_validator::fit: probe count changed"};
-    }
-    for (std::size_t v = 0; v < probe_indices_.size(); ++v) {
-      const tensor reduced =
-          acts.probe_features(probe_indices_[v], spatial_);
-      append_rows(features[v], reduced, n, cursors[v]);
-    }
+  std::vector<std::int64_t> labels(kept.size());
+  for (std::size_t k = 0; k < kept.size(); ++k) {
+    labels[k] = train.labels[static_cast<std::size_t>(kept[k])];
   }
 
   // Algorithm 1 main loop: one SVM per (layer, class).
@@ -118,16 +117,16 @@ void deep_validator::fit(sequential& model, const dataset& train,
   for (std::size_t v = 0; v < validators_.size(); ++v) {
     trace_span layer_span{"validator.fit_layer"};
     const std::int64_t layer_start_ns = metrics::now_ns();
-    validators_[v].fit(features[v], fit_set.labels, fit_set.num_classes,
-                       config.svm);
+    const tensor features = all_features[v].select_rows(kept);
+    validators_[v].fit(features, labels, train.num_classes, config.svm);
     if (layer_fit_seconds != nullptr) {
       layer_fit_seconds->observe(
           static_cast<double>(metrics::now_ns() - layer_start_ns) * 1e-9);
       metrics::count("dv_validator_layers_fitted_total");
     }
     log_info() << "deep_validator::fit: layer " << probe_indices_[v]
-               << " (dim " << features[v].extent(1) << ") fitted "
-               << fit_set.num_classes << " SVMs";
+               << " (dim " << features.extent(1) << ") fitted "
+               << train.num_classes << " SVMs";
   }
   log_info() << "deep_validator::fit: done in " << timer.seconds() << "s";
 }
@@ -141,7 +140,7 @@ validator_bank_view deep_validator::bank() const {
                              batch_, threshold_};
 }
 
-deep_validator::scores deep_validator::evaluate(sequential& model,
+deep_validator::scores deep_validator::evaluate(const sequential& model,
                                                 const tensor& images) const {
   if (!fitted()) throw std::logic_error{"deep_validator: not fitted"};
   return bank().evaluate(model, images);
@@ -153,7 +152,7 @@ deep_validator::scores deep_validator::evaluate(
   return bank().evaluate(acts);
 }
 
-double deep_validator::joint_discrepancy(sequential& model,
+double deep_validator::joint_discrepancy(const sequential& model,
                                          const tensor& image) const {
   tensor batch = image;
   if (batch.dim() == 3) {
@@ -182,6 +181,10 @@ deep_validator deep_validator::load(const std::string& path) {
   deep_validator out;
   out.spatial_ = r.read_i32();
   out.batch_.max_batch = r.read_i32();
+  if (const char* error =
+          bank_settings_error(out.spatial_, out.batch_.max_batch)) {
+    throw serialize_error{std::string{"deep_validator::load: "} + error};
+  }
   out.threshold_ = r.read_f64();
   out.probe_indices_ = r.read_i32_vector();
   const auto n = r.read_u64();
@@ -222,25 +225,14 @@ void deep_validator::save_snapshot(
 
 deep_validator deep_validator::load_snapshot(const std::string& path) {
   const auto snap = snapshot_view::open(path);
-  if (snap->i64_scalar("bank/format") != 1) {
-    throw serialize_error{"snapshot bank: unsupported bank format"};
-  }
-  const auto meta_i = snap->i64("bank/meta_i");
-  const auto meta_f = snap->f64("bank/meta_f");
-  if (meta_i.size() != 3 || meta_f.size() != 1) {
-    throw serialize_error{"snapshot bank: bad metadata"};
-  }
+  bank_snapshot_header header = read_bank_header(*snap);
   deep_validator out;
-  out.spatial_ = static_cast<int>(meta_i[0]);
-  out.batch_.max_batch = static_cast<int>(meta_i[1]);
-  out.threshold_ = meta_f[0];
-  const auto layer_count = meta_i[2];
-  const auto probes = snap->i32("bank/probes");
-  if (layer_count < 1 ||
-      probes.size() != static_cast<std::size_t>(layer_count)) {
-    throw serialize_error{"snapshot bank: probe/layer count mismatch"};
-  }
-  out.probe_indices_.assign(probes.begin(), probes.end());
+  out.spatial_ = header.spatial;
+  out.batch_ = header.batch;
+  out.threshold_ = header.threshold;
+  out.probe_indices_ = std::move(header.probes);
+  const auto layer_count =
+      static_cast<std::int64_t>(out.probe_indices_.size());
   out.validators_.reserve(static_cast<std::size_t>(layer_count));
   for (std::int64_t v = 0; v < layer_count; ++v) {
     out.validators_.push_back(layer_validator::load_snapshot(

@@ -48,9 +48,12 @@ class deep_validator {
  public:
   deep_validator() = default;
 
-  /// Algorithm 1: removes misclassified training images, extracts hidden
-  /// representations per validated layer, and fits per-class one-class SVMs.
-  void fit(sequential& model, const dataset& train,
+  /// Algorithm 1 in one inference pass over `train`: each image's
+  /// prediction decides whether it is kept (misclassified images are
+  /// removed), and the kept images' reduced hidden representations fit
+  /// the per-(layer, class) one-class SVMs. Throws std::invalid_argument
+  /// on settings no bank can run with (bank_settings_error).
+  void fit(const sequential& model, const dataset& train,
            const deep_validator_config& config);
 
   /// Per-image evaluation outputs (see core/validator_bank.h).
@@ -58,7 +61,7 @@ class deep_validator {
 
   /// Algorithm 2 over a batch of images: chunks by the configured batch
   /// size, extracting activations once per chunk.
-  scores evaluate(sequential& model, const tensor& images) const;
+  scores evaluate(const sequential& model, const tensor& images) const;
 
   /// Algorithm 2 over pre-extracted activations — the batch-first entry
   /// point shared with the detectors and the serving layer. No forward
@@ -67,7 +70,8 @@ class deep_validator {
   scores evaluate(const activation_batch& acts) const;
 
   /// Joint discrepancy of a single [C,H,W] image.
-  double joint_discrepancy(sequential& model, const tensor& image) const;
+  double joint_discrepancy(const sequential& model,
+                           const tensor& image) const;
 
   /// Read-only bank view over the owned storage — the scoring surface
   /// this class delegates to. Valid while this object is alive and
@@ -87,10 +91,12 @@ class deep_validator {
   }
 
   /// Decision threshold epsilon; images with joint discrepancy > epsilon are
-  /// flagged invalid.
+  /// flagged invalid, and so is a NaN joint (fail closed).
   void set_threshold(double epsilon) { threshold_ = epsilon; }
   double threshold() const { return threshold_; }
-  bool flags_invalid(double joint_d) const { return joint_d > threshold_; }
+  bool flags_invalid(double joint_d) const {
+    return !(joint_d <= threshold_);
+  }
 
   bool fitted() const { return !validators_.empty(); }
 

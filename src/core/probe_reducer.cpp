@@ -4,8 +4,16 @@
 #include <stdexcept>
 
 #include "tensor/ops.h"
+#include "util/thread_pool.h"
 
 namespace dv {
+
+namespace {
+/// Rows per parallel chunk. A served or audited batch (at most 32 frames)
+/// stays one chunk, where waking the pool would cost more than the
+/// reduction; a 128-row fit chunk spreads over four.
+constexpr std::int64_t k_rows_per_chunk = 32;
+}  // namespace
 
 tensor reduce_probe(const tensor& probe, int spatial) {
   if (spatial < 1) throw std::invalid_argument{"reduce_probe: spatial >= 1"};
@@ -18,29 +26,34 @@ tensor reduce_probe(const tensor& probe, int spatial) {
   const std::int64_t s =
       std::min<std::int64_t>(spatial, std::min(h, w));
   tensor out{{n, c * s * s}};
-  for (std::int64_t i = 0; i < n; ++i) {
-    float* dst = out.data() + i * c * s * s;
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = probe.data() + (i * c + ch) * h * w;
-      for (std::int64_t by = 0; by < s; ++by) {
-        const std::int64_t y0 = by * h / s;
-        const std::int64_t y1 = (by + 1) * h / s;
-        for (std::int64_t bx = 0; bx < s; ++bx) {
-          const std::int64_t x0 = bx * w / s;
-          const std::int64_t x1 = (bx + 1) * w / s;
-          // Row sums batch through the SIMD kernel; the y fold stays
-          // sequential, so the block mean is deterministic per level.
-          double acc = 0.0;
-          for (std::int64_t y = y0; y < y1; ++y) {
-            acc += array_sum(plane + y * w + x0, x1 - x0);
+  // Rows reduce independently into disjoint output rows.
+  // dv:parallel-safe(disjoint rows)
+  parallel_for(0, n, k_rows_per_chunk, [&](std::int64_t begin,
+                                           std::int64_t end) {
+    for (std::int64_t i = begin; i < end; ++i) {
+      float* dst = out.data() + i * c * s * s;
+      for (std::int64_t ch = 0; ch < c; ++ch) {
+        const float* plane = probe.data() + (i * c + ch) * h * w;
+        for (std::int64_t by = 0; by < s; ++by) {
+          const std::int64_t y0 = by * h / s;
+          const std::int64_t y1 = (by + 1) * h / s;
+          for (std::int64_t bx = 0; bx < s; ++bx) {
+            const std::int64_t x0 = bx * w / s;
+            const std::int64_t x1 = (bx + 1) * w / s;
+            // Row sums batch through the SIMD kernel; the y fold stays
+            // sequential, so the block mean is deterministic per level.
+            double acc = 0.0;
+            for (std::int64_t y = y0; y < y1; ++y) {
+              acc += array_sum(plane + y * w + x0, x1 - x0);
+            }
+            const auto count = static_cast<double>((y1 - y0) * (x1 - x0));
+            dst[(ch * s + by) * s + bx] =
+                static_cast<float>(count > 0 ? acc / count : 0.0);
           }
-          const auto count = static_cast<double>((y1 - y0) * (x1 - x0));
-          dst[(ch * s + by) * s + bx] =
-              static_cast<float>(count > 0 ? acc / count : 0.0);
         }
       }
     }
-  }
+  });
   return out;
 }
 

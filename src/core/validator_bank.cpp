@@ -10,6 +10,42 @@
 namespace dv {
 
 // ---------------------------------------------------------------------------
+// bank settings and snapshot header
+
+const char* bank_settings_error(int spatial, int max_batch) {
+  if (spatial < 1) return "spatial must be >= 1";
+  if (max_batch < 1) return "max_batch must be >= 1";
+  return nullptr;
+}
+
+bank_snapshot_header read_bank_header(const snapshot_view& snap) {
+  if (snap.i64_scalar("bank/format") != 1) {
+    throw serialize_error{"snapshot bank: unsupported bank format"};
+  }
+  const auto meta_i = snap.i64("bank/meta_i");
+  const auto meta_f = snap.f64("bank/meta_f");
+  if (meta_i.size() != 3 || meta_f.size() != 1) {
+    throw serialize_error{"snapshot bank: bad metadata"};
+  }
+  bank_snapshot_header out;
+  out.spatial = static_cast<int>(meta_i[0]);
+  out.batch.max_batch = static_cast<int>(meta_i[1]);
+  out.threshold = meta_f[0];
+  if (const char* error =
+          bank_settings_error(out.spatial, out.batch.max_batch)) {
+    throw serialize_error{std::string{"snapshot bank: "} + error};
+  }
+  const auto layer_count = meta_i[2];
+  const auto probes = snap.i32("bank/probes");
+  if (layer_count < 1 ||
+      probes.size() != static_cast<std::size_t>(layer_count)) {
+    throw serialize_error{"snapshot bank: probe/layer count mismatch"};
+  }
+  out.probes.assign(probes.begin(), probes.end());
+  return out;
+}
+
+// ---------------------------------------------------------------------------
 // weighted_joint_view
 
 weighted_joint_view::weighted_joint_view(std::span<const double> weights,
@@ -71,27 +107,8 @@ validator_bank_view validator_bank_view::from_snapshot(
   if (snap == nullptr) {
     throw std::invalid_argument{"validator_bank_view: null snapshot"};
   }
-  if (snap->i64_scalar("bank/format") != 1) {
-    throw serialize_error{"snapshot bank: unsupported bank format"};
-  }
-  const auto meta_i = snap->i64("bank/meta_i");
-  const auto meta_f = snap->f64("bank/meta_f");
-  if (meta_i.size() != 3 || meta_f.size() != 1) {
-    throw serialize_error{"snapshot bank: bad metadata"};
-  }
-  const int spatial = static_cast<int>(meta_i[0]);
-  batch_config batch;
-  batch.max_batch = static_cast<int>(meta_i[1]);
-  const auto layer_count = meta_i[2];
-  const double threshold = meta_f[0];
-  if (spatial < 1 || batch.max_batch < 1 || layer_count < 1) {
-    throw serialize_error{"snapshot bank: bad metadata"};
-  }
-  const auto probes_span = snap->i32("bank/probes");
-  if (probes_span.size() != static_cast<std::size_t>(layer_count)) {
-    throw serialize_error{"snapshot bank: probe/layer count mismatch"};
-  }
-  std::vector<int> probes(probes_span.begin(), probes_span.end());
+  bank_snapshot_header header = read_bank_header(*snap);
+  const auto layer_count = static_cast<std::int64_t>(header.probes.size());
   std::vector<layer_validator_view> layers;
   layers.reserve(static_cast<std::size_t>(layer_count));
   for (std::int64_t v = 0; v < layer_count; ++v) {
@@ -105,8 +122,9 @@ validator_bank_view validator_bank_view::from_snapshot(
       throw serialize_error{"snapshot bank: weight/layer count mismatch"};
     }
   }
-  return validator_bank_view{std::move(layers), std::move(probes), spatial,
-                             batch, threshold, weighted, std::move(snap)};
+  return validator_bank_view{std::move(layers), std::move(header.probes),
+                             header.spatial, header.batch, header.threshold,
+                             weighted, std::move(snap)};
 }
 
 validation_scores validator_bank_view::evaluate(
@@ -122,7 +140,7 @@ validation_scores validator_bank_view::evaluate(
   return out;
 }
 
-validation_scores validator_bank_view::evaluate(sequential& model,
+validation_scores validator_bank_view::evaluate(const sequential& model,
                                                 const tensor& images) const {
   if (!valid()) throw std::logic_error{"deep_validator: not fitted"};
   trace_span eval_span{"validator.evaluate"};

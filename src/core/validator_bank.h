@@ -39,6 +39,26 @@ struct validation_scores {
   std::vector<std::int64_t> predictions;
 };
 
+/// Why a bank cannot run with reducer resolution `spatial` and batch size
+/// `max_batch`, or nullptr when it can: spatial < 1 has no reducer grid,
+/// and max_batch < 1 would never advance the chunked loops of fit and
+/// evaluate. deep_validator::fit and every bank loader check it.
+const char* bank_settings_error(int spatial, int max_batch);
+
+/// The header sections of a bank snapshot (docs/SNAPSHOTS.md).
+struct bank_snapshot_header {
+  int spatial{1};
+  batch_config batch{};
+  double threshold{0.0};
+  /// Global probe index of each validated layer.
+  std::vector<int> probes;
+};
+
+/// Reads and checks the header shared by validator_bank_view::from_snapshot
+/// and deep_validator::load_snapshot. Throws serialize_error on a missing,
+/// unsupported or inconsistent header or on bad bank settings.
+bank_snapshot_header read_bank_header(const snapshot_view& snap);
+
 /// Read-only weighted-joint combiner: the linear decision w^T x + b over
 /// per-layer discrepancies, borrowed from a fitted
 /// weighted_joint_validator or a snapshot. The decision loop here IS the
@@ -94,7 +114,8 @@ class validator_bank_view {
 
   /// Algorithm 2 over raw images: chunks by the configured batch size,
   /// extracting activations once per chunk.
-  validation_scores evaluate(sequential& model, const tensor& images) const;
+  validation_scores evaluate(const sequential& model,
+                             const tensor& images) const;
 
   /// Scores `acts` into out.{per_layer,joint,predictions} rows
   /// [base, base + acts.size()).
@@ -110,7 +131,10 @@ class validator_bank_view {
   int spatial() const { return spatial_; }
   const batch_config& batching() const { return batch_; }
   double threshold() const { return threshold_; }
-  bool flags_invalid(double joint_d) const { return joint_d > threshold_; }
+  /// joint_d > epsilon, failing closed: a NaN joint is flagged invalid.
+  bool flags_invalid(double joint_d) const {
+    return !(joint_d <= threshold_);
+  }
   const std::vector<layer_validator_view>& layers() const { return layers_; }
   /// The weighted combiner; weighted().valid() is false when the bank
   /// carries no weights.

@@ -11,19 +11,10 @@ dataset dataset::subset(const std::vector<std::int64_t>& indices) const {
   out.num_classes = num_classes;
   out.name = name;
   if (indices.empty()) return out;
-  std::vector<std::int64_t> shape = images.shape();
-  shape[0] = static_cast<std::int64_t>(indices.size());
-  out.images = tensor{shape};
+  out.images = images.select_rows(indices);
   out.labels.resize(indices.size());
-  const std::int64_t stride = images.numel() / images.extent(0);
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    const std::int64_t src = indices[i];
-    if (src < 0 || src >= size()) {
-      throw std::out_of_range{"dataset::subset: index out of range"};
-    }
-    std::copy_n(images.data() + src * stride, stride,
-                out.images.data() + static_cast<std::int64_t>(i) * stride);
-    out.labels[i] = labels[static_cast<std::size_t>(src)];
+    out.labels[i] = labels[static_cast<std::size_t>(indices[i])];
   }
   return out;
 }

@@ -1,5 +1,7 @@
 #include "detect/detector.h"
 
+#include <algorithm>
+
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -53,6 +55,29 @@ std::vector<double> anomaly_detector::do_score_batch(const tensor& images) {
   out.reserve(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
     out.push_back(score(images.sample(i)));
+  }
+  return out;
+}
+
+correct_train_features extract_correct_train_features(const sequential& model,
+                                                      const dataset& train) {
+  constexpr std::int64_t batch = 128;
+  correct_train_features out;
+  out.correct.resize(static_cast<std::size_t>(train.num_classes));
+  for (std::int64_t begin = 0; begin < train.size(); begin += batch) {
+    const std::int64_t end = std::min(train.size(), begin + batch);
+    const activation_batch acts =
+        extract_activations(model, train.images.slice_rows(begin, end));
+    const tensor f = acts.last_probe_features();
+    const std::int64_t d = f.extent(1);
+    if (out.features.empty()) out.features = tensor{{train.size(), d}};
+    std::copy_n(f.data(), f.numel(), out.features.data() + begin * d);
+    for (std::int64_t i = begin; i < end; ++i) {
+      const auto y = train.labels[static_cast<std::size_t>(i)];
+      if (acts.predictions[static_cast<std::size_t>(i - begin)] == y) {
+        out.correct[static_cast<std::size_t>(y)].push_back(i);
+      }
+    }
   }
   return out;
 }

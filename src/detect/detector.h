@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/activation_batch.h"
+#include "data/dataset.h"
 #include "tensor/tensor.h"
 
 namespace dv {
@@ -49,6 +50,19 @@ class anomaly_detector {
   virtual std::vector<double> do_score_activations(
       const activation_batch& acts);
 };
+
+/// What the KDE and Mahalanobis detectors fit on, from ONE inference pass
+/// over a training set: every image's last-probe features and, per class,
+/// the images the model classifies correctly (the paper's Algorithm-1
+/// filtering convention), in ascending row order.
+struct correct_train_features {
+  /// Last probe flattened, [N, d] for all N training images.
+  tensor features;
+  /// Per class: rows of correctly classified images.
+  std::vector<std::vector<std::int64_t>> correct;
+};
+correct_train_features extract_correct_train_features(const sequential& model,
+                                                      const dataset& train);
 
 /// Records per-detector confusion counters into the metrics registry
 /// (dv_detector_{true,false}_{positives,negatives}_total{detector="..."},

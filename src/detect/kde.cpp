@@ -12,18 +12,6 @@
 namespace dv {
 
 namespace {
-/// The penultimate hidden representation of a batch: the last probe output,
-/// flattened to [N, d].
-tensor last_probe_features(sequential& model, const tensor& images) {
-  (void)model.forward(images, false);
-  const auto probes = model.probes();
-  if (probes.empty()) {
-    throw std::invalid_argument{"kde_detector: model has no probes"};
-  }
-  tensor feat = *probes.back();
-  return feat.reshape({feat.extent(0), feat.numel() / feat.extent(0)});
-}
-
 double median_pairwise_distance(const tensor& features, rng& gen) {
   const std::int64_t n = features.extent(0);
   const std::int64_t d = features.extent(1);
@@ -43,27 +31,16 @@ double median_pairwise_distance(const tensor& features, rng& gen) {
 }
 }  // namespace
 
-kde_detector::kde_detector(sequential& model, const dataset& train,
+kde_detector::kde_detector(const sequential& model, const dataset& train,
                            const kde_config& config)
     : model_{model}, batch_{config.batch} {
   rng gen{config.seed};
 
-  // Keep only correctly classified training images, grouped per class.
-  std::vector<std::vector<std::int64_t>> per_class(
-      static_cast<std::size_t>(train.num_classes));
-  {
-    constexpr std::int64_t batch = 128;
-    for (std::int64_t begin = 0; begin < train.size(); begin += batch) {
-      const std::int64_t end = std::min(train.size(), begin + batch);
-      const auto preds = model.predict(train.images.slice_rows(begin, end));
-      for (std::int64_t i = begin; i < end; ++i) {
-        const auto y = train.labels[static_cast<std::size_t>(i)];
-        if (preds[static_cast<std::size_t>(i - begin)] == y) {
-          per_class[static_cast<std::size_t>(y)].push_back(i);
-        }
-      }
-    }
-  }
+  // Correctly classified training images per class and their features,
+  // from one pass.
+  correct_train_features fit_set =
+      extract_correct_train_features(model, train);
+  auto& per_class = fit_set.correct;
 
   class_features_.resize(per_class.size());
   bandwidth_.resize(per_class.size());
@@ -79,19 +56,7 @@ kde_detector::kde_detector(sequential& model, const dataset& train,
         rows.size() > static_cast<std::size_t>(config.max_train_per_class)) {
       rows.resize(static_cast<std::size_t>(config.max_train_per_class));
     }
-    // Extract features in batches.
-    tensor feats;
-    std::int64_t cursor = 0;
-    constexpr std::int64_t batch = 128;
-    const dataset sub = train.subset(rows);
-    for (std::int64_t begin = 0; begin < sub.size(); begin += batch) {
-      const std::int64_t end = std::min(sub.size(), begin + batch);
-      const tensor f =
-          last_probe_features(model_, sub.images.slice_rows(begin, end));
-      if (feats.empty()) feats = tensor{{sub.size(), f.extent(1)}};
-      std::copy_n(f.data(), f.numel(), feats.data() + cursor * f.extent(1));
-      cursor += f.extent(0);
-    }
+    tensor feats = fit_set.features.select_rows(rows);
     bandwidth_[k] = config.bandwidth > 0.0
                         ? config.bandwidth
                         : median_pairwise_distance(feats, gen);

@@ -30,7 +30,7 @@ struct kde_config {
 class kde_detector : public anomaly_detector {
  public:
   /// Fits on the training set; `model` must outlive the detector.
-  kde_detector(sequential& model, const dataset& train,
+  kde_detector(const sequential& model, const dataset& train,
                const kde_config& config);
 
   double score(const tensor& image) override;
@@ -44,7 +44,7 @@ class kde_detector : public anomaly_detector {
   }
 
  private:
-  sequential& model_;
+  const sequential& model_;
   batch_config batch_;
   std::vector<tensor> class_features_;  // per class [n_k, d]
   std::vector<double> bandwidth_;       // per class sigma

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/activation_batch.h"
-#include "core/probe_reducer.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -15,13 +14,14 @@ namespace dv {
 namespace {
 
 /// Reduced probe features of a batch for every probe layer.
-std::vector<tensor> reduced_probes(sequential& model, const tensor& images,
-                                   int spatial) {
-  (void)model.forward(images, false);
-  const auto probes = model.probes();
+std::vector<tensor> reduced_probes(const sequential& model,
+                                   const tensor& images, int spatial) {
+  const activation_batch acts = extract_activations(model, images);
   std::vector<tensor> out;
-  out.reserve(probes.size());
-  for (const tensor* p : probes) out.push_back(reduce_probe(*p, spatial));
+  out.reserve(acts.probes.size());
+  for (int p = 0; p < acts.probe_count(); ++p) {
+    out.push_back(acts.probe_features(p, spatial));
+  }
   return out;
 }
 
@@ -47,7 +47,7 @@ double lid_estimate(const float* x, const tensor& reference, int k) {
 
 }  // namespace
 
-lid_detector::lid_detector(sequential& model, const dataset& train,
+lid_detector::lid_detector(const sequential& model, const dataset& train,
                            const tensor& positives, const tensor& negatives,
                            const lid_config& config)
     : model_{model}, config_{config} {

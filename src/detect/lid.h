@@ -38,8 +38,9 @@ class lid_detector : public anomaly_detector {
   /// `train` provides the reference features; `positives` are the known
   /// anomalous images the combiner is trained on (e.g. FGSM adversarials);
   /// `negatives` are clean images for the combiner.
-  lid_detector(sequential& model, const dataset& train, const tensor& positives,
-               const tensor& negatives, const lid_config& config);
+  lid_detector(const sequential& model, const dataset& train,
+               const tensor& positives, const tensor& negatives,
+               const lid_config& config);
 
   double score(const tensor& image) override;
   std::vector<double> do_score_batch(const tensor& images) override;
@@ -56,7 +57,7 @@ class lid_detector : public anomaly_detector {
   /// LID rows of one already-extracted activation batch.
   std::vector<std::vector<double>> lid_rows(const activation_batch& acts);
 
-  sequential& model_;
+  const sequential& model_;
   lid_config config_;
   std::vector<tensor> reference_;  // per layer [m, d] reduced clean features
   logistic_regression combiner_;

@@ -11,39 +11,18 @@
 
 namespace dv {
 
-namespace {
-tensor last_probe_features(sequential& model, const tensor& images) {
-  (void)model.forward(images, false);
-  const auto probes = model.probes();
-  if (probes.empty()) {
-    throw std::invalid_argument{"mahalanobis_detector: model has no probes"};
-  }
-  tensor feat = *probes.back();
-  return feat.reshape({feat.extent(0), feat.numel() / feat.extent(0)});
-}
-}  // namespace
-
-mahalanobis_detector::mahalanobis_detector(sequential& model,
+mahalanobis_detector::mahalanobis_detector(const sequential& model,
                                            const dataset& train,
                                            const mahalanobis_config& config)
     : model_{model}, batch_{config.batch} {
   rng gen{config.seed};
 
-  // Correctly classified training rows per class (Lee et al. fit on the
-  // training set; we match the paper's Algorithm-1 filtering convention).
-  std::vector<std::vector<std::int64_t>> per_class(
-      static_cast<std::size_t>(train.num_classes));
-  constexpr std::int64_t batch = 128;
-  for (std::int64_t begin = 0; begin < train.size(); begin += batch) {
-    const std::int64_t end = std::min(train.size(), begin + batch);
-    const auto preds = model.predict(train.images.slice_rows(begin, end));
-    for (std::int64_t i = begin; i < end; ++i) {
-      const auto y = train.labels[static_cast<std::size_t>(i)];
-      if (preds[static_cast<std::size_t>(i - begin)] == y) {
-        per_class[static_cast<std::size_t>(y)].push_back(i);
-      }
-    }
-  }
+  // Correctly classified training rows per class and their features, from
+  // one pass (Lee et al. fit on the training set; we match the paper's
+  // Algorithm-1 filtering convention).
+  correct_train_features fit_set =
+      extract_correct_train_features(model, train);
+  auto& per_class = fit_set.correct;
 
   means_.resize(per_class.size());
   tensor pooled_centered;  // all centered features for the tied covariance
@@ -61,17 +40,7 @@ mahalanobis_detector::mahalanobis_detector(sequential& model,
         rows.size() > static_cast<std::size_t>(config.max_train_per_class)) {
       rows.resize(static_cast<std::size_t>(config.max_train_per_class));
     }
-    const dataset sub = train.subset(rows);
-    tensor feats;
-    std::int64_t cursor = 0;
-    for (std::int64_t begin = 0; begin < sub.size(); begin += batch) {
-      const std::int64_t end = std::min(sub.size(), begin + batch);
-      const tensor f =
-          last_probe_features(model_, sub.images.slice_rows(begin, end));
-      if (feats.empty()) feats = tensor{{sub.size(), f.extent(1)}};
-      std::copy_n(f.data(), f.numel(), feats.data() + cursor * f.extent(1));
-      cursor += f.extent(0);
-    }
+    tensor feats = fit_set.features.select_rows(rows);
     means_[k] = column_means(feats);
     class_feats[k] = std::move(feats);
     total_rows += class_feats[k].extent(0);

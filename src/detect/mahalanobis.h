@@ -27,7 +27,7 @@ struct mahalanobis_config {
 
 class mahalanobis_detector : public anomaly_detector {
  public:
-  mahalanobis_detector(sequential& model, const dataset& train,
+  mahalanobis_detector(const sequential& model, const dataset& train,
                        const mahalanobis_config& config);
 
   double score(const tensor& image) override;
@@ -39,7 +39,7 @@ class mahalanobis_detector : public anomaly_detector {
   int num_classes() const { return static_cast<int>(means_.size()); }
 
  private:
-  sequential& model_;
+  const sequential& model_;
   batch_config batch_;
   std::vector<std::vector<double>> means_;  // per class
   std::vector<double> chol_;                // tied covariance factor [d, d]

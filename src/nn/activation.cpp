@@ -3,23 +3,31 @@
 #include <stdexcept>
 
 #include "nn/layers.h"
+#include "util/trace.h"
 
 namespace dv {
 
-tensor relu::forward(const tensor& x, bool /*training*/) {
-  tensor out = x;
-  mask_ = tensor{x.shape()};
+tensor relu::infer(const tensor& x, std::vector<tensor>* probes) const {
+  trace_span span{"nn.relu.forward"};
+  tensor out{x.shape()};
+  const float* in = x.data();
   float* o = out.data();
+  for (std::int64_t i = 0; i < out.numel(); ++i) {
+    o[i] = in[i] > 0.0f ? in[i] : 0.0f;
+  }
+  record_probe(out, probes);
+  return out;
+}
+
+tensor relu::forward(const tensor& x, bool /*training*/) {
+  tensor out = infer(x, nullptr);
+  // The output is positive exactly where the input is. Every element is
+  // rewritten, so a same-shape mask from the last batch is reused.
+  if (!mask_.same_shape(x)) mask_ = tensor{x.shape()};
   float* m = mask_.data();
   for (std::int64_t i = 0; i < out.numel(); ++i) {
-    if (o[i] > 0.0f) {
-      m[i] = 1.0f;
-    } else {
-      o[i] = 0.0f;
-      m[i] = 0.0f;
-    }
+    m[i] = out[i] > 0.0f ? 1.0f : 0.0f;
   }
-  if (probe_) cached_output_ = out;
   return out;
 }
 
@@ -38,12 +46,15 @@ dropout::dropout(double p, std::uint64_t seed) : p_{p}, gen_{seed} {
   }
 }
 
+tensor dropout::infer(const tensor& x, std::vector<tensor>* probes) const {
+  trace_span span{"nn.dropout.forward"};
+  record_probe(x, probes);
+  return x;
+}
+
 tensor dropout::forward(const tensor& x, bool training) {
   last_training_ = training;
-  if (!training || p_ == 0.0) {
-    if (probe_) cached_output_ = x;
-    return x;
-  }
+  if (!training || p_ == 0.0) return infer(x, nullptr);
   mask_ = tensor{x.shape()};
   const float keep_scale = static_cast<float>(1.0 / (1.0 - p_));
   float* m = mask_.data();
@@ -52,7 +63,6 @@ tensor dropout::forward(const tensor& x, bool training) {
   }
   tensor out = x;
   out.mul_elem(mask_);
-  if (probe_) cached_output_ = out;
   return out;
 }
 
@@ -69,11 +79,16 @@ std::string dropout::describe() const {
   return out.str();
 }
 
+tensor flatten::infer(const tensor& x, std::vector<tensor>* probes) const {
+  trace_span span{"nn.flatten.forward"};
+  tensor out = x.reshaped({x.extent(0), x.numel() / x.extent(0)});
+  record_probe(out, probes);
+  return out;
+}
+
 tensor flatten::forward(const tensor& x, bool /*training*/) {
   input_shape_ = x.shape();
-  tensor out = x.reshaped({x.extent(0), x.numel() / x.extent(0)});
-  if (probe_) cached_output_ = out;
-  return out;
+  return infer(x, nullptr);
 }
 
 tensor flatten::backward(const tensor& grad_out) {
@@ -90,21 +105,25 @@ leaky_relu::leaky_relu(float slope) : slope_{slope} {
   }
 }
 
-tensor leaky_relu::forward(const tensor& x, bool /*training*/) {
-  tensor out = x;
-  grad_mask_ = tensor{x.shape()};
+tensor leaky_relu::infer(const tensor& x, std::vector<tensor>* probes) const {
+  trace_span span{"nn.leaky_relu.forward"};
+  tensor out{x.shape()};
+  const float* in = x.data();
   float* o = out.data();
-  float* m = grad_mask_.data();
   for (std::int64_t i = 0; i < out.numel(); ++i) {
-    if (o[i] > 0.0f) {
-      m[i] = 1.0f;
-    } else {
-      o[i] *= slope_;
-      m[i] = slope_;
-    }
+    o[i] = in[i] > 0.0f ? in[i] : in[i] * slope_;
   }
-  if (probe_) cached_output_ = out;
+  record_probe(out, probes);
   return out;
+}
+
+tensor leaky_relu::forward(const tensor& x, bool /*training*/) {
+  if (!grad_mask_.same_shape(x)) grad_mask_ = tensor{x.shape()};
+  float* m = grad_mask_.data();
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    m[i] = x[i] > 0.0f ? 1.0f : slope_;
+  }
+  return infer(x, nullptr);
 }
 
 tensor leaky_relu::backward(const tensor& grad_out) {
@@ -122,15 +141,21 @@ std::string leaky_relu::describe() const {
   return out.str();
 }
 
-tensor sigmoid::forward(const tensor& x, bool /*training*/) {
-  tensor out = x;
+tensor sigmoid::infer(const tensor& x, std::vector<tensor>* probes) const {
+  trace_span span{"nn.sigmoid.forward"};
+  tensor out{x.shape()};
+  const float* in = x.data();
   float* o = out.data();
   for (std::int64_t i = 0; i < out.numel(); ++i) {
-    o[i] = 1.0f / (1.0f + std::exp(-o[i]));
+    o[i] = 1.0f / (1.0f + std::exp(-in[i]));
   }
-  output_ = out;
-  if (probe_) cached_output_ = out;
+  record_probe(out, probes);
   return out;
+}
+
+tensor sigmoid::forward(const tensor& x, bool /*training*/) {
+  output_ = infer(x, nullptr);
+  return output_;
 }
 
 tensor sigmoid::backward(const tensor& grad_out) {
@@ -145,13 +170,19 @@ tensor sigmoid::backward(const tensor& grad_out) {
   return grad_in;
 }
 
-tensor tanh_layer::forward(const tensor& x, bool /*training*/) {
-  tensor out = x;
+tensor tanh_layer::infer(const tensor& x, std::vector<tensor>* probes) const {
+  trace_span span{"nn.tanh.forward"};
+  tensor out{x.shape()};
+  const float* in = x.data();
   float* o = out.data();
-  for (std::int64_t i = 0; i < out.numel(); ++i) o[i] = std::tanh(o[i]);
-  output_ = out;
-  if (probe_) cached_output_ = out;
+  for (std::int64_t i = 0; i < out.numel(); ++i) o[i] = std::tanh(in[i]);
+  record_probe(out, probes);
   return out;
+}
+
+tensor tanh_layer::forward(const tensor& x, bool /*training*/) {
+  output_ = infer(x, nullptr);
+  return output_;
 }
 
 tensor tanh_layer::backward(const tensor& grad_out) {

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "nn/layers.h"
+#include "util/trace.h"
 
 namespace dv {
 
@@ -17,69 +18,112 @@ batch_norm::batch_norm(std::int64_t channels, double momentum, double eps)
   running_var_ = tensor::full({channels}, 1.0f);
 }
 
-tensor batch_norm::forward(const tensor& x, bool training) {
-  const bool spatial = x.dim() == 4;
-  if (!spatial && x.dim() != 2) {
+namespace {
+
+/// y = gamma * x_hat + beta with x_hat = (x - mean) * inv_std per channel,
+/// x_hat rounded to float first. Keeps x_hat in `x_hat` when non-null
+/// (the training forward's backward cache; every element is rewritten, so
+/// a same-shape buffer is reused).
+tensor apply_batch_norm(const tensor& x, const tensor& gamma,
+                        const tensor& beta, const std::vector<float>& mean,
+                        const std::vector<float>& inv_std, tensor* x_hat) {
+  const std::int64_t n = x.extent(0), channels = x.extent(1);
+  const std::int64_t plane = x.dim() == 4 ? x.extent(2) * x.extent(3) : 1;
+  tensor out{x.shape()};
+  if (x_hat != nullptr && !x_hat->same_shape(x)) *x_hat = tensor{x.shape()};
+  for (std::int64_t c = 0; c < channels; ++c) {
+    const float g = gamma[c], b = beta[c];
+    const float fm = mean[static_cast<std::size_t>(c)];
+    const float fs = inv_std[static_cast<std::size_t>(c)];
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::int64_t base = (i * channels + c) * plane;
+      const float* p = x.data() + base;
+      float* o = out.data() + base;
+      float* xh = x_hat != nullptr ? x_hat->data() + base : nullptr;
+      for (std::int64_t j = 0; j < plane; ++j) {
+        const float h = (p[j] - fm) * fs;
+        if (xh != nullptr) xh[j] = h;
+        o[j] = g * h + b;
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+void batch_norm::check_input(const tensor& x) const {
+  if (x.dim() != 4 && x.dim() != 2) {
     throw std::invalid_argument{"batch_norm: expected 2-D or 4-D input"};
   }
   if (x.extent(1) != channels_) {
     throw std::invalid_argument{"batch_norm: channel mismatch"};
   }
+}
+
+void batch_norm::running_stats(std::vector<float>& mean,
+                               std::vector<float>& inv_std) const {
+  mean.resize(static_cast<std::size_t>(channels_));
+  inv_std.resize(static_cast<std::size_t>(channels_));
+  for (std::int64_t c = 0; c < channels_; ++c) {
+    const double var = running_var_[c];
+    mean[static_cast<std::size_t>(c)] = running_mean_[c];
+    inv_std[static_cast<std::size_t>(c)] =
+        static_cast<float>(1.0 / std::sqrt(var + eps_));
+  }
+}
+
+tensor batch_norm::infer(const tensor& x, std::vector<tensor>* probes) const {
+  trace_span span{"nn.batch_norm.forward"};
+  check_input(x);
+  std::vector<float> mean, inv_std;
+  running_stats(mean, inv_std);
+  tensor out = apply_batch_norm(x, gamma_, beta_, mean, inv_std, nullptr);
+  record_probe(out, probes);
+  return out;
+}
+
+tensor batch_norm::forward(const tensor& x, bool training) {
+  trace_span span{"nn.batch_norm.forward"};
+  check_input(x);
   input_shape_ = x.shape();
   last_training_ = training;
+  if (!training) {
+    running_stats(batch_mean_, batch_inv_std_);
+    return apply_batch_norm(x, gamma_, beta_, batch_mean_, batch_inv_std_,
+                            &x_hat_);
+  }
   const std::int64_t n = x.extent(0);
-  const std::int64_t plane = spatial ? x.extent(2) * x.extent(3) : 1;
+  const std::int64_t plane = x.dim() == 4 ? x.extent(2) * x.extent(3) : 1;
   const std::int64_t m = n * plane;  // elements per channel
-
   batch_mean_.assign(static_cast<std::size_t>(channels_), 0.0f);
   batch_inv_std_.assign(static_cast<std::size_t>(channels_), 0.0f);
-
-  tensor out{x.shape()};
-  x_hat_ = tensor{x.shape()};
-
   for (std::int64_t c = 0; c < channels_; ++c) {
-    double mean, var;
-    if (training) {
-      double acc = 0.0;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* p = x.data() + (i * channels_ + c) * plane;
-        for (std::int64_t j = 0; j < plane; ++j) acc += p[j];
-      }
-      mean = acc / static_cast<double>(m);
-      double vacc = 0.0;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* p = x.data() + (i * channels_ + c) * plane;
-        for (std::int64_t j = 0; j < plane; ++j) {
-          const double d = p[j] - mean;
-          vacc += d * d;
-        }
-      }
-      var = vacc / static_cast<double>(m);
-      running_mean_[c] = static_cast<float>(momentum_ * running_mean_[c] +
-                                            (1.0 - momentum_) * mean);
-      running_var_[c] = static_cast<float>(momentum_ * running_var_[c] +
-                                           (1.0 - momentum_) * var);
-    } else {
-      mean = running_mean_[c];
-      var = running_var_[c];
-    }
-    const double inv_std = 1.0 / std::sqrt(var + eps_);
-    batch_mean_[static_cast<std::size_t>(c)] = static_cast<float>(mean);
-    batch_inv_std_[static_cast<std::size_t>(c)] = static_cast<float>(inv_std);
-    const float g = gamma_[c], b = beta_[c];
-    const float fm = static_cast<float>(mean), fs = static_cast<float>(inv_std);
+    double acc = 0.0;
     for (std::int64_t i = 0; i < n; ++i) {
       const float* p = x.data() + (i * channels_ + c) * plane;
-      float* xh = x_hat_.data() + (i * channels_ + c) * plane;
-      float* o = out.data() + (i * channels_ + c) * plane;
+      for (std::int64_t j = 0; j < plane; ++j) acc += p[j];
+    }
+    const double mean = acc / static_cast<double>(m);
+    double vacc = 0.0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float* p = x.data() + (i * channels_ + c) * plane;
       for (std::int64_t j = 0; j < plane; ++j) {
-        xh[j] = (p[j] - fm) * fs;
-        o[j] = g * xh[j] + b;
+        const double d = p[j] - mean;
+        vacc += d * d;
       }
     }
+    const double var = vacc / static_cast<double>(m);
+    running_mean_[c] = static_cast<float>(momentum_ * running_mean_[c] +
+                                          (1.0 - momentum_) * mean);
+    running_var_[c] = static_cast<float>(momentum_ * running_var_[c] +
+                                         (1.0 - momentum_) * var);
+    batch_mean_[static_cast<std::size_t>(c)] = static_cast<float>(mean);
+    batch_inv_std_[static_cast<std::size_t>(c)] =
+        static_cast<float>(1.0 / std::sqrt(var + eps_));
   }
-  if (probe_) cached_output_ = out;
-  return out;
+  return apply_batch_norm(x, gamma_, beta_, batch_mean_, batch_inv_std_,
+                          &x_hat_);
 }
 
 tensor batch_norm::backward(const tensor& grad_out) {

@@ -16,17 +16,14 @@ namespace {
 /// DV_THREADS setting.
 constexpr std::int64_t k_sample_grain = 4;
 
-/// Returns the rank-th scratch buffer, (re)allocated unless its shape is
-/// exactly [rows, cols]. Comparing the shape — not numel() — prevents two
-/// geometries with equal element counts from silently sharing a
-/// wrongly-shaped buffer.
-tensor& scratch_for(std::vector<tensor>& scratch, int rank, std::int64_t rows,
-                    std::int64_t cols) {
-  auto& buf = scratch[static_cast<std::size_t>(rank)];
-  if (buf.dim() != 2 || buf.extent(0) != rows || buf.extent(1) != cols) {
-    buf = tensor{{rows, cols}};
-  }
-  return buf;
+/// This thread's scratch buffer, resized to `size` floats. Scratch is per
+/// thread rather than per layer, so the const inference forward writes no
+/// member and concurrent slices of one model never share a buffer.
+/// Contents never reach a result: im2col and the beta = 0 GEMM overwrite
+/// every element before it is read.
+float* thread_scratch(std::vector<float>& buf, std::int64_t size) {
+  buf.resize(static_cast<std::size_t>(size));
+  return buf.data();
 }
 
 }  // namespace
@@ -52,14 +49,13 @@ conv2d::conv2d(std::int64_t in_c, std::int64_t out_c, std::int64_t kernel,
   }
 }
 
-tensor conv2d::forward(const tensor& x, bool /*training*/) {
+tensor conv2d::infer(const tensor& x, std::vector<tensor>* probes) const {
   trace_span span{"nn.conv2d.forward"};
   if (x.dim() != 4 || x.extent(1) != in_c_) {
     throw std::invalid_argument{"conv2d::forward: expected [N," +
                                 std::to_string(in_c_) + ",H,W], got " +
                                 x.shape_string()};
   }
-  input_ = x;
   const conv_geometry g{in_c_, x.extent(2), x.extent(3), kernel_, stride_,
                         pad_};
   const std::int64_t oh = g.out_h();
@@ -69,7 +65,6 @@ tensor conv2d::forward(const tensor& x, bool /*training*/) {
   }
   const std::int64_t n = x.extent(0);
   tensor out{{n, out_c_, oh, ow}};
-  col_scratch_.resize(static_cast<std::size_t>(thread_count()));
   const std::int64_t in_stride = in_c_ * g.in_h * g.in_w;
   const std::int64_t out_stride = out_c_ * oh * ow;
   // Each sample writes a disjoint slice of `out`, so the batch loop is
@@ -77,24 +72,28 @@ tensor conv2d::forward(const tensor& x, bool /*training*/) {
   // Thread-local im2col/GEMM panels grow to steady-state size once per
   // thread, then stay warm — the allocation never recurs per sample.
   // dv:parallel-safe(disjoint slices) dv-lint: allow(effect:may_allocate)
-  parallel_for_chunks(
-      0, n, k_sample_grain,
-      [&](std::int64_t, std::int64_t begin, std::int64_t end, int rank) {
-        tensor& col =
-            scratch_for(col_scratch_, rank, g.col_rows(), g.col_cols());
-        for (std::int64_t i = begin; i < end; ++i) {
-          im2col(x.data() + i * in_stride, g, col.data());
-          gemm_nn(out_c_, g.col_cols(), g.col_rows(), 1.0f, weight_.data(),
-                  col.data(), 0.0f, out.data() + i * out_stride);
-          if (has_bias_) {
-            float* base = out.data() + i * out_stride;
-            for (std::int64_t c = 0; c < out_c_; ++c) {
-              add_scalar(base + c * oh * ow, oh * ow, bias_[c]);
-            }
-          }
+  parallel_for(0, n, k_sample_grain, [&](std::int64_t begin, std::int64_t end) {
+    thread_local std::vector<float> col_buf;
+    float* col = thread_scratch(col_buf, g.col_rows() * g.col_cols());
+    for (std::int64_t i = begin; i < end; ++i) {
+      im2col(x.data() + i * in_stride, g, col);
+      gemm_nn(out_c_, g.col_cols(), g.col_rows(), 1.0f, weight_.data(), col,
+              0.0f, out.data() + i * out_stride);
+      if (has_bias_) {
+        float* base = out.data() + i * out_stride;
+        for (std::int64_t c = 0; c < out_c_; ++c) {
+          add_scalar(base + c * oh * ow, oh * ow, bias_[c]);
         }
-      });
-  if (probe_) cached_output_ = out;
+      }
+    }
+  });
+  record_probe(out, probes);
+  return out;
+}
+
+tensor conv2d::forward(const tensor& x, bool /*training*/) {
+  tensor out = infer(x, nullptr);
+  input_ = x;
   return out;
 }
 
@@ -113,8 +112,6 @@ tensor conv2d::backward(const tensor& grad_out) {
   tensor grad_in{input_.shape()};
   const std::int64_t in_stride = in_c_ * g.in_h * g.in_w;
   const std::int64_t out_stride = out_c_ * oh * ow;
-  col_scratch_.resize(static_cast<std::size_t>(thread_count()));
-  dcol_scratch_.resize(static_cast<std::size_t>(thread_count()));
   // grad_in slices are disjoint per sample; dweight_/dbias_ are reductions.
   // Each chunk accumulates into its own partial, and the partials are
   // folded in ascending chunk order below — the chunk decomposition
@@ -132,12 +129,12 @@ tensor conv2d::backward(const tensor& grad_out) {
   // dv:parallel-safe(per-chunk partials) dv-lint: allow(effect:may_allocate)
   parallel_for_chunks(
       0, n, k_sample_grain,
-      [&](std::int64_t chunk, std::int64_t begin, std::int64_t end,
-          int rank) {
-        tensor& col =
-            scratch_for(col_scratch_, rank, g.col_rows(), g.col_cols());
-        tensor& dcol =
-            scratch_for(dcol_scratch_, rank, g.col_rows(), g.col_cols());
+      [&](std::int64_t chunk, std::int64_t begin, std::int64_t end, int) {
+        thread_local std::vector<float> col_buf;
+        thread_local std::vector<float> dcol_buf;
+        const std::int64_t col_size = g.col_rows() * g.col_cols();
+        float* col = thread_scratch(col_buf, col_size);
+        float* dcol = thread_scratch(dcol_buf, col_size);
         float* dw = dweight_.data();
         float* db = has_bias_ ? dbias_.data() : nullptr;
         if (num_chunks > 1) {
@@ -153,13 +150,13 @@ tensor conv2d::backward(const tensor& grad_out) {
         for (std::int64_t i = begin; i < end; ++i) {
           const float* go = grad_out.data() + i * out_stride;
           // dW += dY * col^T  — recompute col for this sample.
-          im2col(input_.data() + i * in_stride, g, col.data());
-          gemm_nt(out_c_, g.col_rows(), g.col_cols(), 1.0f, go, col.data(),
-                  1.0f, dw);
+          im2col(input_.data() + i * in_stride, g, col);
+          gemm_nt(out_c_, g.col_rows(), g.col_cols(), 1.0f, go, col, 1.0f,
+                  dw);
           // dcol = W^T * dY, then scatter back to the image.
           gemm_tn(g.col_rows(), g.col_cols(), out_c_, 1.0f, weight_.data(),
-                  go, 0.0f, dcol.data());
-          col2im(dcol.data(), g, grad_in.data() + i * in_stride);
+                  go, 0.0f, dcol);
+          col2im(dcol, g, grad_in.data() + i * in_stride);
           if (has_bias_) {
             for (std::int64_t c = 0; c < out_c_; ++c) {
               db[c] += static_cast<float>(array_sum(go + c * oh * ow,

@@ -22,14 +22,13 @@ dense::dense(std::int64_t in_f, std::int64_t out_f, rng& gen, bool bias)
   }
 }
 
-tensor dense::forward(const tensor& x, bool /*training*/) {
+tensor dense::infer(const tensor& x, std::vector<tensor>* probes) const {
   trace_span span{"nn.dense.forward"};
   if (x.dim() != 2 || x.extent(1) != in_f_) {
     throw std::invalid_argument{"dense::forward: expected [N," +
                                 std::to_string(in_f_) + "], got " +
                                 x.shape_string()};
   }
-  input_ = x;
   const std::int64_t n = x.extent(0);
   tensor out{{n, out_f_}};
   // out[N, out_f] = x[N, in_f] * W[out_f, in_f]^T
@@ -40,7 +39,13 @@ tensor dense::forward(const tensor& x, bool /*training*/) {
       for (std::int64_t j = 0; j < out_f_; ++j) row[j] += bias_[j];
     }
   }
-  if (probe_) cached_output_ = out;
+  record_probe(out, probes);
+  return out;
+}
+
+tensor dense::forward(const tensor& x, bool /*training*/) {
+  tensor out = infer(x, nullptr);
+  input_ = x;
   return out;
 }
 

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/trace.h"
+
 namespace dv {
 
 tensor concat_channels(const tensor& a, const tensor& b) {
@@ -52,8 +54,13 @@ dense_unit::dense_unit(std::int64_t in_c, std::int64_t growth, rng& gen)
 tensor dense_unit::forward(const tensor& x, bool training) {
   tensor h = bn_.forward(x, training);
   h = act_.forward(h, training);
-  output_ = conv_.forward(h, training);
-  return output_;
+  return conv_.forward(h, training);
+}
+
+tensor dense_unit::infer(const tensor& x) const {
+  tensor h = bn_.infer(x, nullptr);
+  h = act_.infer(h, nullptr);
+  return conv_.infer(h, nullptr);
 }
 
 tensor dense_unit::backward(const tensor& grad_out) {
@@ -82,18 +89,33 @@ dense_block::dense_block(std::int64_t in_c, std::int64_t growth, int units,
   unit_probe_.assign(units_.size(), false);
 }
 
-tensor dense_block::forward(const tensor& x, bool training) {
+void dense_block::check_input(const tensor& x) const {
   if (x.dim() != 4 || x.extent(1) != in_c_) {
     throw std::invalid_argument{"dense_block::forward: bad input " +
                                 x.shape_string()};
   }
-  input_shape_ = x.shape();
+}
+
+tensor dense_block::forward(const tensor& x, bool training) {
+  check_input(x);
   tensor state = x;
   for (auto& unit : units_) {
     tensor y = unit->forward(state, training);
     state = concat_channels(state, y);
   }
-  if (probe_) cached_output_ = state;
+  return state;
+}
+
+tensor dense_block::infer(const tensor& x, std::vector<tensor>* probes) const {
+  trace_span span{"nn.dense_block.forward"};
+  check_input(x);
+  tensor state = x;
+  for (std::size_t u = 0; u < units_.size(); ++u) {
+    tensor y = units_[u]->infer(state);
+    state = concat_channels(state, y);
+    if (unit_probe_[u] && probes != nullptr) probes->push_back(std::move(y));
+  }
+  record_probe(state, probes);
   return state;
 }
 
@@ -136,13 +158,6 @@ std::string dense_block::describe() const {
   return out.str();
 }
 
-void dense_block::collect_probes(std::vector<const tensor*>& out) const {
-  for (std::size_t u = 0; u < units_.size(); ++u) {
-    if (unit_probe_[u]) out.push_back(&units_[u]->cached_output());
-  }
-  if (probe_) out.push_back(&cached_output_);
-}
-
 int dense_block::probe_count() const {
   int n = probe_ ? 1 : 0;
   for (const bool p : unit_probe_) n += p ? 1 : 0;
@@ -168,8 +183,16 @@ tensor transition::forward(const tensor& x, bool training) {
   tensor h = bn_.forward(x, training);
   h = act_.forward(h, training);
   h = conv_.forward(h, training);
-  tensor out = pool_.forward(h, training);
-  if (probe_) cached_output_ = out;
+  return pool_.forward(h, training);
+}
+
+tensor transition::infer(const tensor& x, std::vector<tensor>* probes) const {
+  trace_span span{"nn.transition.forward"};
+  tensor h = bn_.infer(x, nullptr);
+  h = act_.infer(h, nullptr);
+  h = conv_.infer(h, nullptr);
+  tensor out = pool_.infer(h, nullptr);
+  record_probe(out, probes);
   return out;
 }
 

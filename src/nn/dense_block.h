@@ -6,9 +6,9 @@
 // (BN -> ReLU -> Conv1x1 -> AvgPool2) compresses channels and halves the
 // spatial resolution between blocks.
 //
-// Each unit can be flagged as a probe point: the probe output is the unit's
-// newly produced feature maps y_u = f_u(s_{u-1}), i.e. "the output of layer
-// u" in the paper's sense.
+// Each unit can be flagged as a probe point: infer() then reports the
+// unit's newly produced feature maps y_u = f_u(s_{u-1}), i.e. "the output
+// of layer u" in the paper's sense.
 #pragma once
 
 #include <memory>
@@ -23,12 +23,13 @@ class dense_unit {
   dense_unit(std::int64_t in_c, std::int64_t growth, rng& gen);
 
   tensor forward(const tensor& x, bool training);
+  /// The unit's new feature maps, as layer::infer computes them.
+  tensor infer(const tensor& x) const;
   /// Returns gradient w.r.t. the unit input.
   tensor backward(const tensor& grad_out);
   std::vector<param_ref> params();
   std::vector<tensor*> state();
 
-  const tensor& cached_output() const { return output_; }
   std::int64_t growth() const { return growth_; }
 
  private:
@@ -36,7 +37,6 @@ class dense_unit {
   batch_norm bn_;
   relu act_;
   conv2d conv_;
-  tensor output_;
 };
 
 /// Dense block: `units` dense_units with concatenative connectivity.
@@ -45,14 +45,15 @@ class dense_block : public layer {
   dense_block(std::int64_t in_c, std::int64_t growth, int units, rng& gen);
 
   tensor forward(const tensor& x, bool training) override;
+  /// Probes, in order: each probed unit's new feature maps, then the
+  /// block output when the block itself is a probe.
+  tensor infer(const tensor& x, std::vector<tensor>* probes) const override;
   tensor backward(const tensor& grad_out) override;
   std::vector<param_ref> params() override;
   std::vector<tensor*> state() override;
   std::string name() const override { return "dense_block"; }
   std::string describe() const override;
 
-  /// Probes: one per unit (the unit's new feature maps).
-  void collect_probes(std::vector<const tensor*>& out) const override;
   int probe_count() const override;
 
   /// Marks the last `n` units (or all if n < 0) as probe points.
@@ -63,10 +64,11 @@ class dense_block : public layer {
   }
 
  private:
+  void check_input(const tensor& x) const;
+
   std::int64_t in_c_, growth_;
   std::vector<std::unique_ptr<dense_unit>> units_;
   std::vector<bool> unit_probe_;
-  std::vector<std::int64_t> input_shape_;
 };
 
 /// Transition layer: BN -> ReLU -> Conv1x1 (compression) -> AvgPool2.
@@ -75,6 +77,7 @@ class transition : public layer {
   transition(std::int64_t in_c, std::int64_t out_c, rng& gen);
 
   tensor forward(const tensor& x, bool training) override;
+  tensor infer(const tensor& x, std::vector<tensor>* probes) const override;
   tensor backward(const tensor& grad_out) override;
   std::vector<param_ref> params() override;
   std::vector<tensor*> state() override;

@@ -1,10 +1,15 @@
 // Base interface for neural-network layers.
 //
-// Layers own their parameters and gradients and cache whatever forward
-// state their backward pass needs. Batches are 4-D [N, C, H, W] for spatial
-// layers and 2-D [N, F] for fully connected ones. A layer can be flagged as
-// a *probe*: after a forward pass its cached output is exposed to the Deep
-// Validation framework as the hidden representation f_i(x) of that layer.
+// Every layer has two forwards over the same arithmetic. infer() is the
+// inference forward: a const, reentrant pure function of the input and the
+// parameters. It writes no member (scratch lives per call or per thread),
+// so any number of threads may run it on one layer at once. forward() is
+// the stateful training forward: it also caches whatever the backward pass
+// needs, and forward(x, false) is bitwise equal to infer(x). Batches are
+// 4-D [N, C, H, W] for spatial layers and 2-D [N, F] for fully connected
+// ones. A layer can be flagged as a *probe*: infer() then appends its
+// output, the hidden representation f_i(x) of that layer, to the caller's
+// probe list for the Deep Validation framework.
 #pragma once
 
 #include <memory>
@@ -32,9 +37,16 @@ class layer {
   layer(const layer&) = delete;
   layer& operator=(const layer&) = delete;
 
-  /// Computes the layer output. `training` toggles train-time behaviour
-  /// (dropout masks, batch-norm batch statistics).
+  /// Stateful forward for training and gradient attacks: computes the
+  /// layer output and caches what backward needs. `training` toggles
+  /// train-time behaviour (dropout masks, batch-norm batch statistics).
   virtual tensor forward(const tensor& x, bool training) = 0;
+
+  /// Inference forward with eval-time behaviour, bitwise equal to
+  /// forward(x, false) but writing no member. When `probes` is non-null,
+  /// appends this layer's probe outputs (several for composite layers) in
+  /// network order.
+  virtual tensor infer(const tensor& x, std::vector<tensor>* probes) const = 0;
 
   /// Propagates `grad_out` (gradient w.r.t. the last forward output) back,
   /// accumulating parameter gradients, and returns the gradient w.r.t. the
@@ -54,22 +66,19 @@ class layer {
   /// One-line human description used when printing architectures (Table II).
   virtual std::string describe() const { return name(); }
 
-  /// Appends pointers to the cached probe outputs of this layer (possibly
-  /// several for composite layers). Valid until the next forward pass.
-  virtual void collect_probes(std::vector<const tensor*>& out) const {
-    if (probe_) out.push_back(&cached_output_);
-  }
-
-  /// Number of probe points this layer contributes.
+  /// Number of probe points this layer contributes to infer().
   virtual int probe_count() const { return probe_ ? 1 : 0; }
 
   bool is_probe() const { return probe_; }
   void set_probe(bool p) { probe_ = p; }
 
  protected:
-  /// Derived classes store the forward result here when flagged as a probe
-  /// (and may do so unconditionally if they need it for backward anyway).
-  tensor cached_output_;
+  /// Appends `out` to `probes` when this layer is a probe and the caller
+  /// collects probes.
+  void record_probe(const tensor& out, std::vector<tensor>* probes) const {
+    if (probe_ && probes != nullptr) probes->push_back(out);
+  }
+
   bool probe_{false};
 };
 

@@ -14,6 +14,7 @@ namespace dv {
 class relu : public layer {
  public:
   tensor forward(const tensor& x, bool training) override;
+  tensor infer(const tensor& x, std::vector<tensor>* probes) const override;
   tensor backward(const tensor& grad_out) override;
   std::string name() const override { return "relu"; }
 
@@ -26,6 +27,7 @@ class leaky_relu : public layer {
  public:
   explicit leaky_relu(float slope = 0.01f);
   tensor forward(const tensor& x, bool training) override;
+  tensor infer(const tensor& x, std::vector<tensor>* probes) const override;
   tensor backward(const tensor& grad_out) override;
   std::string name() const override { return "leaky_relu"; }
   std::string describe() const override;
@@ -39,6 +41,7 @@ class leaky_relu : public layer {
 class sigmoid : public layer {
  public:
   tensor forward(const tensor& x, bool training) override;
+  tensor infer(const tensor& x, std::vector<tensor>* probes) const override;
   tensor backward(const tensor& grad_out) override;
   std::string name() const override { return "sigmoid"; }
 
@@ -50,6 +53,7 @@ class sigmoid : public layer {
 class tanh_layer : public layer {
  public:
   tensor forward(const tensor& x, bool training) override;
+  tensor infer(const tensor& x, std::vector<tensor>* probes) const override;
   tensor backward(const tensor& grad_out) override;
   std::string name() const override { return "tanh"; }
 
@@ -63,6 +67,7 @@ class dropout : public layer {
  public:
   dropout(double p, std::uint64_t seed);
   tensor forward(const tensor& x, bool training) override;
+  tensor infer(const tensor& x, std::vector<tensor>* probes) const override;
   tensor backward(const tensor& grad_out) override;
   std::string name() const override { return "dropout"; }
   std::string describe() const override;
@@ -78,6 +83,7 @@ class dropout : public layer {
 class flatten : public layer {
  public:
   tensor forward(const tensor& x, bool training) override;
+  tensor infer(const tensor& x, std::vector<tensor>* probes) const override;
   tensor backward(const tensor& grad_out) override;
   std::string name() const override { return "flatten"; }
 
@@ -96,6 +102,7 @@ class conv2d : public layer {
          std::int64_t stride, std::int64_t pad, rng& gen, bool bias = true);
 
   tensor forward(const tensor& x, bool training) override;
+  tensor infer(const tensor& x, std::vector<tensor>* probes) const override;
   tensor backward(const tensor& grad_out) override;
   std::vector<param_ref> params() override;
   std::string name() const override { return "conv2d"; }
@@ -109,10 +116,6 @@ class conv2d : public layer {
   bool has_bias_;
   tensor weight_, bias_, dweight_, dbias_;
   tensor input_;  // cached forward input
-  // Per-thread im2col scratch buffers, indexed by pool rank and reused
-  // across calls when the [col_rows, col_cols] shape still matches.
-  std::vector<tensor> col_scratch_;
-  std::vector<tensor> dcol_scratch_;
 };
 
 // -- Fully connected -----------------------------------------------------------
@@ -124,6 +127,7 @@ class dense : public layer {
   dense(std::int64_t in_f, std::int64_t out_f, rng& gen, bool bias = true);
 
   tensor forward(const tensor& x, bool training) override;
+  tensor infer(const tensor& x, std::vector<tensor>* probes) const override;
   tensor backward(const tensor& grad_out) override;
   std::vector<param_ref> params() override;
   std::string name() const override { return "dense"; }
@@ -146,6 +150,7 @@ class max_pool2d : public layer {
  public:
   explicit max_pool2d(std::int64_t window);
   tensor forward(const tensor& x, bool training) override;
+  tensor infer(const tensor& x, std::vector<tensor>* probes) const override;
   tensor backward(const tensor& grad_out) override;
   std::string name() const override { return "max_pool2d"; }
   std::string describe() const override;
@@ -160,6 +165,7 @@ class max_pool2d : public layer {
 class global_avg_pool : public layer {
  public:
   tensor forward(const tensor& x, bool training) override;
+  tensor infer(const tensor& x, std::vector<tensor>* probes) const override;
   tensor backward(const tensor& grad_out) override;
   std::string name() const override { return "global_avg_pool"; }
 
@@ -172,6 +178,7 @@ class avg_pool2d : public layer {
  public:
   explicit avg_pool2d(std::int64_t window);
   tensor forward(const tensor& x, bool training) override;
+  tensor infer(const tensor& x, std::vector<tensor>* probes) const override;
   tensor backward(const tensor& grad_out) override;
   std::string name() const override { return "avg_pool2d"; }
   std::string describe() const override;
@@ -191,6 +198,7 @@ class batch_norm : public layer {
                       double eps = 1e-5);
 
   tensor forward(const tensor& x, bool training) override;
+  tensor infer(const tensor& x, std::vector<tensor>* probes) const override;
   tensor backward(const tensor& grad_out) override;
   std::vector<param_ref> params() override;
   std::vector<tensor*> state() override {
@@ -204,6 +212,11 @@ class batch_norm : public layer {
   tensor& running_var() { return running_var_; }
 
  private:
+  void check_input(const tensor& x) const;
+  /// Per-channel mean and 1/sqrt(var + eps) from the running statistics.
+  void running_stats(std::vector<float>& mean,
+                     std::vector<float>& inv_std) const;
+
   std::int64_t channels_;
   double momentum_, eps_;
   tensor gamma_, beta_, dgamma_, dbeta_;

@@ -1,15 +1,35 @@
 #include "nn/model.h"
 
+#include <cstring>
+#include <mutex>
 #include <sstream>
+#include <stdexcept>
 
 #include "tensor/ops.h"
 #include "util/serialize.h"
+#include "util/thread_pool.h"
 
 namespace dv {
 
 namespace {
+
 constexpr const char* k_model_magic = "dv-model-v1";
+
+/// Copies the rows of `part` into `whole` starting at row `first_row`.
+void copy_rows(const tensor& part, tensor& whole, std::int64_t first_row) {
+  const std::int64_t row = whole.numel() / whole.extent(0);
+  std::memcpy(whole.data() + first_row * row, part.data(),
+              static_cast<std::size_t>(part.numel()) * sizeof(float));
 }
+
+/// A tensor shaped like `part` but with `rows` rows.
+tensor with_rows(const tensor& part, std::int64_t rows) {
+  std::vector<std::int64_t> shape = part.shape();
+  shape[0] = rows;
+  return tensor{std::move(shape)};
+}
+
+}  // namespace
 
 layer& sequential::add(std::unique_ptr<layer> l, bool probe) {
   l->set_probe(probe);
@@ -31,20 +51,59 @@ tensor sequential::backward(const tensor& grad_logits) {
   return g;
 }
 
-tensor sequential::probabilities(const tensor& x, bool training) {
-  tensor logits = forward(x, training);
+inference sequential::infer(const tensor& x, bool with_probes) const {
+  if (x.dim() < 1 || x.extent(0) < 1) {
+    throw std::invalid_argument{"sequential::infer: empty batch " +
+                                x.shape_string()};
+  }
+  const auto run_slice = [&](const tensor& rows) {
+    inference out;
+    std::vector<tensor>* probes = nullptr;
+    if (with_probes) {
+      out.probes.reserve(static_cast<std::size_t>(probe_count()));
+      probes = &out.probes;
+    }
+    out.logits = rows;
+    for (const auto& l : layers_) out.logits = l->infer(out.logits, probes);
+    return out;
+  };
+  const std::int64_t n = x.extent(0);
+  if (n <= infer_slice_rows) return run_slice(x);
+
+  // Every layer is per-row independent (DESIGN.md §8), so slicing only
+  // regroups rows: each slice's rows equal the whole-batch rows bit for
+  // bit. The kernels inside a slice run sequentially (nested region). The
+  // first slice to finish sizes the outputs; each slice then copies its
+  // rows in and frees its own tensors.
+  inference out;
+  std::once_flag sized;
+  // Const layers write no member; every slice allocates its own tensors
+  // and fills disjoint output rows once call_once has sized `out`.
+  // dv:parallel-safe(disjoint rows) dv-lint: allow(effect:may_allocate)
+  parallel_for(0, n, infer_slice_rows, [&](std::int64_t begin,
+                                           std::int64_t end) {
+    const inference part = run_slice(x.slice_rows(begin, end));
+    std::call_once(sized, [&] {
+      // Runs once per call. dv-lint: allow(capture)
+      out.logits = with_rows(part.logits, n);
+      for (const tensor& p : part.probes) out.probes.push_back(with_rows(p, n));
+    });
+    copy_rows(part.logits, out.logits, begin);
+    for (std::size_t p = 0; p < out.probes.size(); ++p) {
+      copy_rows(part.probes[p], out.probes[p], begin);
+    }
+  });
+  return out;
+}
+
+tensor sequential::probabilities(const tensor& x) const {
+  tensor logits = infer(x, false).logits;
   softmax_rows(logits);
   return logits;
 }
 
-std::vector<std::int64_t> sequential::predict(const tensor& x) {
-  return argmax_rows(forward(x, false));
-}
-
-std::vector<const tensor*> sequential::probes() const {
-  std::vector<const tensor*> out;
-  for (const auto& l : layers_) l->collect_probes(out);
-  return out;
+std::vector<std::int64_t> sequential::predict(const tensor& x) const {
+  return argmax_rows(infer(x, false).logits);
 }
 
 int sequential::probe_count() const {

@@ -5,6 +5,11 @@
 // (by `probabilities` / the loss), matching the convention that layer L is
 // the softmax output layer and layers 1..L-1 are hidden layers whose outputs
 // are validated.
+//
+// Inference runs through infer(): a const, reentrant pass that cuts the
+// batch into fixed-size row slices and runs the whole network on each
+// slice concurrently (DESIGN.md §8). forward()/backward() are the stateful
+// training path.
 #pragma once
 
 #include <memory>
@@ -15,29 +20,48 @@
 
 namespace dv {
 
+/// Output of one inference pass (sequential::infer).
+struct inference {
+  /// Raw model outputs [N, num_classes].
+  tensor logits;
+  /// One [N, ...] tensor per probe point, network order: the hidden
+  /// representations f_i(x). Empty when the caller asked for no probes.
+  std::vector<tensor> probes;
+};
+
 class sequential {
  public:
+  /// Rows per inference slice. Fixed, never derived from the thread count,
+  /// and chosen by measurement: small enough that a training batch of 128
+  /// keeps every core busy, large enough that each slice amortizes its
+  /// per-layer dispatch.
+  static constexpr std::int64_t infer_slice_rows = 4;
+
   sequential() = default;
 
   /// Appends a layer; `probe` marks it as a Deep Validation probe point.
   layer& add(std::unique_ptr<layer> l, bool probe = false);
 
-  /// Forward pass to logits [N, num_classes].
+  /// Stateful forward pass to logits [N, num_classes], for training and
+  /// gradient attacks: every layer caches what backward() needs.
   tensor forward(const tensor& x, bool training = false);
 
   /// Backward pass from logits gradient; returns gradient w.r.t. the input.
   tensor backward(const tensor& grad_logits);
 
+  /// Reentrant inference pass over [N, ...] inputs: the logits and, when
+  /// `with_probes`, every probe output. Runs each infer_slice_rows-row
+  /// slice through the whole network inside one parallel region (a batch
+  /// of one slice keeps kernel-level parallelism instead). Every row is
+  /// bitwise equal to forward(x, false) for any slicing, DV_THREADS and
+  /// DV_SIMD, and any number of threads may call it on one model at once.
+  inference infer(const tensor& x, bool with_probes = true) const;
+
   /// Softmax probabilities [N, num_classes].
-  tensor probabilities(const tensor& x, bool training = false);
+  tensor probabilities(const tensor& x) const;
 
   /// Argmax class predictions.
-  std::vector<std::int64_t> predict(const tensor& x);
-
-  /// Hidden representations captured by probe layers during the most recent
-  /// forward pass, in network order. Pointers are valid until the next
-  /// forward pass.
-  std::vector<const tensor*> probes() const;
+  std::vector<std::int64_t> predict(const tensor& x) const;
 
   /// Total number of probe points in the network.
   int probe_count() const;
@@ -54,6 +78,7 @@ class sequential {
 
   std::size_t layer_count() const { return layers_.size(); }
   layer& at(std::size_t i) { return *layers_[i]; }
+  const layer& at(std::size_t i) const { return *layers_[i]; }
 
   /// Multi-line architecture summary (used to print Table II).
   std::string describe() const;

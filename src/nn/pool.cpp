@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "nn/layers.h"
+#include "util/trace.h"
 
 namespace dv {
 
@@ -10,17 +11,24 @@ max_pool2d::max_pool2d(std::int64_t window) : window_{window} {
   if (window <= 1) throw std::invalid_argument{"max_pool2d: window must be >1"};
 }
 
-tensor max_pool2d::forward(const tensor& x, bool /*training*/) {
+namespace {
+
+/// Max over each window, scanning the window row by row and keeping the
+/// first strict maximum. Stores each maximum's flat input index in
+/// `argmax` when non-null (the training forward's backward cache).
+tensor max_pool(const tensor& x, std::int64_t window,
+                std::vector<std::int64_t>* argmax) {
   if (x.dim() != 4) throw std::invalid_argument{"max_pool2d: expected 4-D"};
-  input_shape_ = x.shape();
   const std::int64_t n = x.extent(0), c = x.extent(1), h = x.extent(2),
                      w = x.extent(3);
-  const std::int64_t oh = h / window_, ow = w / window_;
+  const std::int64_t oh = h / window, ow = w / window;
   if (oh == 0 || ow == 0) {
     throw std::invalid_argument{"max_pool2d: input smaller than window"};
   }
   tensor out{{n, c, oh, ow}};
-  argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
+  if (argmax != nullptr) {
+    argmax->assign(static_cast<std::size_t>(out.numel()), 0);
+  }
   std::int64_t oi = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t ch = 0; ch < c; ++ch) {
@@ -29,10 +37,10 @@ tensor max_pool2d::forward(const tensor& x, bool /*training*/) {
         for (std::int64_t ox = 0; ox < ow; ++ox, ++oi) {
           float best = -std::numeric_limits<float>::infinity();
           std::int64_t best_idx = 0;
-          for (std::int64_t ky = 0; ky < window_; ++ky) {
-            const std::int64_t iy = oy * window_ + ky;
-            for (std::int64_t kx = 0; kx < window_; ++kx) {
-              const std::int64_t ix = ox * window_ + kx;
+          for (std::int64_t ky = 0; ky < window; ++ky) {
+            const std::int64_t iy = oy * window + ky;
+            for (std::int64_t kx = 0; kx < window; ++kx) {
+              const std::int64_t ix = ox * window + kx;
               const std::int64_t idx = iy * w + ix;
               if (plane[idx] > best) {
                 best = plane[idx];
@@ -41,14 +49,30 @@ tensor max_pool2d::forward(const tensor& x, bool /*training*/) {
             }
           }
           out[oi] = best;
-          argmax_[static_cast<std::size_t>(oi)] =
-              (i * c + ch) * h * w + best_idx;
+          if (argmax != nullptr) {
+            (*argmax)[static_cast<std::size_t>(oi)] =
+                (i * c + ch) * h * w + best_idx;
+          }
         }
       }
     }
   }
-  if (probe_) cached_output_ = out;
   return out;
+}
+
+}  // namespace
+
+tensor max_pool2d::infer(const tensor& x, std::vector<tensor>* probes) const {
+  trace_span span{"nn.max_pool2d.forward"};
+  tensor out = max_pool(x, window_, nullptr);
+  record_probe(out, probes);
+  return out;
+}
+
+tensor max_pool2d::forward(const tensor& x, bool /*training*/) {
+  trace_span span{"nn.max_pool2d.forward"};
+  input_shape_ = x.shape();
+  return max_pool(x, window_, &argmax_);
 }
 
 tensor max_pool2d::backward(const tensor& grad_out) {
@@ -68,9 +92,10 @@ std::string max_pool2d::describe() const {
   return out.str();
 }
 
-tensor global_avg_pool::forward(const tensor& x, bool /*training*/) {
+tensor global_avg_pool::infer(const tensor& x,
+                              std::vector<tensor>* probes) const {
+  trace_span span{"nn.global_avg_pool.forward"};
   if (x.dim() != 4) throw std::invalid_argument{"global_avg_pool: expected 4-D"};
-  input_shape_ = x.shape();
   const std::int64_t n = x.extent(0), c = x.extent(1);
   const std::int64_t plane = x.extent(2) * x.extent(3);
   tensor out{{n, c}};
@@ -82,7 +107,13 @@ tensor global_avg_pool::forward(const tensor& x, bool /*training*/) {
       out.at2(i, ch) = static_cast<float>(acc / static_cast<double>(plane));
     }
   }
-  if (probe_) cached_output_ = out;
+  record_probe(out, probes);
+  return out;
+}
+
+tensor global_avg_pool::forward(const tensor& x, bool /*training*/) {
+  tensor out = infer(x, nullptr);
+  input_shape_ = x.shape();
   return out;
 }
 
@@ -109,9 +140,9 @@ avg_pool2d::avg_pool2d(std::int64_t window) : window_{window} {
   if (window <= 1) throw std::invalid_argument{"avg_pool2d: window must be >1"};
 }
 
-tensor avg_pool2d::forward(const tensor& x, bool /*training*/) {
+tensor avg_pool2d::infer(const tensor& x, std::vector<tensor>* probes) const {
+  trace_span span{"nn.avg_pool2d.forward"};
   if (x.dim() != 4) throw std::invalid_argument{"avg_pool2d: expected 4-D"};
-  input_shape_ = x.shape();
   const std::int64_t n = x.extent(0), c = x.extent(1), h = x.extent(2),
                      w = x.extent(3);
   const std::int64_t oh = h / window_, ow = w / window_;
@@ -137,7 +168,13 @@ tensor avg_pool2d::forward(const tensor& x, bool /*training*/) {
       }
     }
   }
-  if (probe_) cached_output_ = out;
+  record_probe(out, probes);
+  return out;
+}
+
+tensor avg_pool2d::forward(const tensor& x, bool /*training*/) {
+  tensor out = infer(x, nullptr);
+  input_shape_ = x.shape();
   return out;
 }
 

@@ -190,9 +190,10 @@ class micro_batcher {
   }
 
   /// caller_runs overflow: score a batch of one on the submitting thread,
-  /// serialized with the worker (the model is not thread-safe). Scores
-  /// are batch-invariant, so the result is identical to the queued path.
-  // Same deliberate locks as score_batch (model serialization + the rare
+  /// serialized with the worker (the scorer's activation cache takes one
+  /// stream at a time). Scores are batch-invariant, so the result is
+  /// identical to the queued path.
+  // Same deliberate locks as score_batch (scorer serialization + the rare
   // pending==0 notify).
   // dv:hot-path(caller_runs overflow) dv-lint: allow(effect:acquires_lock)
   void run_inline(item& it) {
@@ -232,8 +233,8 @@ class micro_batcher {
   }
 
   // The remaining locks are deliberate: score_mutex_ serializes the
-  // non-thread-safe model, and note_pending's mutex is taken only on the
-  // rare pending==0 transition.
+  // scorer (its activation cache), and note_pending's mutex is taken only
+  // on the rare pending==0 transition.
   // dv:hot-path(per-batch worker path) dv-lint: allow(effect:acquires_lock)
   void score_batch(std::vector<item>& batch) {
     const auto n = static_cast<std::int64_t>(batch.size());
@@ -286,8 +287,10 @@ class micro_batcher {
   /// Started in the ctor; joinable()/join() race only against shutdown()
   /// itself, which shutdown_mutex_ serializes. dv:guarded-by(shutdown_mutex_)
   std::thread worker_;
-  /// Serializes batch-function invocations (worker vs. caller_runs) —
-  /// the model underneath is not safe for concurrent forwards.
+  /// Serializes batch-function invocations (worker vs. caller_runs). The
+  /// model's inference pass is reentrant; what needs one caller at a time
+  /// is the scorer's activation cache, a single-mutator LRU
+  /// (docs/CACHING.md).
   std::mutex score_mutex_;
   std::mutex shutdown_mutex_;
   std::mutex pending_mutex_;

@@ -33,8 +33,9 @@ enum class overflow_policy {
   /// Throw serve_rejected_error immediately (load shedding).
   reject,
   /// Score the frame inline on the caller's thread as a batch of one
-  /// (serialized with the worker — the model is not thread-safe). Only
-  /// valid for stateless scorers: the frame jumps the queue.
+  /// (serialized with the worker — the scorer's activation cache takes one
+  /// stream at a time). Only valid for stateless scorers: the frame jumps
+  /// the queue.
   caller_runs,
 };
 
@@ -60,7 +61,7 @@ struct scoring_result {
   /// Joint discrepancy d = sum_i d_i (Equation 3).
   double joint{0.0};
   std::int64_t prediction{-1};
-  /// joint > validator threshold epsilon.
+  /// joint > validator threshold epsilon; a NaN joint is invalid too.
   bool invalid{false};
   /// Per validated layer discrepancy d_i.
   std::vector<double> per_layer;

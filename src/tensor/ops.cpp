@@ -105,14 +105,19 @@ void gemm_tiled(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   // One table fetch per GEMM: the micro-kernel variant cannot change
   // mid-call even if another thread flips the dispatch level.
   const auto micro_kernel = simd_kernels().gemm_micro_kernel;
-  std::vector<float> b_panel;
+  // The packed B panel lives in the calling thread's buffer, which grows
+  // once per thread instead of being allocated per call. The region's
+  // workers read it through `b_panel` (a thread_local named inside the
+  // lambda would be each worker's own buffer).
+  thread_local std::vector<float> b_panel_buf;
   for (std::int64_t jc = 0; jc < n; jc += NC) {
     const std::int64_t nc = std::min(NC, n - jc);
     const std::int64_t nc_strips = (nc + NR - 1) / NR;
     for (std::int64_t pc = 0; pc < k; pc += KC) {
       const std::int64_t kc = std::min(KC, k - pc);
-      b_panel.resize(static_cast<std::size_t>(nc_strips * kc * NR));
-      pack_b(b, b_trans, ldb, pc, jc, kc, nc, b_panel.data());
+      b_panel_buf.resize(static_cast<std::size_t>(nc_strips * kc * NR));
+      const float* const b_panel = b_panel_buf.data();
+      pack_b(b, b_trans, ldb, pc, jc, kc, nc, b_panel_buf.data());
       const std::int64_t row_blocks = (m + MR - 1) / MR;
       // The thread_local A-panel grows to steady-state size once per
       // thread, then stays warm across row blocks.
@@ -132,7 +137,7 @@ void gemm_tiled(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
           for (std::int64_t j0 = 0; j0 < nc; j0 += NR) {
             const std::int64_t w = std::min(NR, nc - j0);
             std::memset(acc, 0, sizeof(acc));
-            micro_kernel(kc, ap, b_panel.data() + (j0 / NR) * kc * NR, acc);
+            micro_kernel(kc, ap, b_panel + (j0 / NR) * kc * NR, acc);
             for (std::int64_t ir = 0; ir < h; ++ir) {
               float* crow = c + (ic + i0 + ir) * n + jc + j0;
               for (std::int64_t jr = 0; jr < w; ++jr) {

@@ -123,6 +123,23 @@ tensor tensor::slice_rows(std::int64_t begin, std::int64_t end) const {
   return out;
 }
 
+tensor tensor::select_rows(const std::vector<std::int64_t>& rows) const {
+  if (dim() < 1) throw std::invalid_argument{"select_rows: empty tensor"};
+  if (rows.empty()) throw std::out_of_range{"select_rows: no rows"};
+  const std::int64_t stride = numel() / shape_[0];
+  std::vector<std::int64_t> out_shape = shape_;
+  out_shape[0] = static_cast<std::int64_t>(rows.size());
+  tensor out{out_shape};
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i] < 0 || rows[i] >= shape_[0]) {
+      throw std::out_of_range{"select_rows: row out of range"};
+    }
+    std::copy_n(data_.data() + rows[i] * stride, stride,
+                out.data() + static_cast<std::int64_t>(i) * stride);
+  }
+  return out;
+}
+
 void tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }

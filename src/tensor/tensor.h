@@ -112,6 +112,9 @@ class tensor {
   void set_sample(std::int64_t n, const tensor& s);
   /// Copies rows [begin, end) of the leading axis into a fresh tensor.
   tensor slice_rows(std::int64_t begin, std::int64_t end) const;
+  /// Copies the listed rows of the leading axis, in list order, into a
+  /// fresh tensor. Throws std::out_of_range on a bad or empty row list.
+  tensor select_rows(const std::vector<std::int64_t>& rows) const;
 
   // -- Arithmetic (elementwise, in place) --------------------------------------
 

@@ -77,6 +77,11 @@ class thread_pool {
     spawn(n);
   }
 
+  /// Claims the workers for one region; false while another thread's
+  /// region holds them.
+  bool try_claim() { return !busy_.exchange(true, std::memory_order_acquire); }
+
+  /// Runs `job` on the claimed workers and releases them.
   void run(parallel_job& job) {
     {
       std::unique_lock<std::mutex> lock{mutex_};
@@ -94,21 +99,30 @@ class thread_pool {
       done_cv_.wait(lock, [&] { return active_workers_ == 0; });
       job_ = nullptr;
     }
+    busy_.store(false, std::memory_order_release);
     if (job.error) std::rethrow_exception(job.error);
   }
 
  private:
   void spawn(int n) {
     threads_ = n;
+    // New workers start at the current generation: one that started at 0
+    // after a resize would take the last finished generation for a new
+    // job and decrement active_workers_ for a region it never joined.
+    std::uint64_t generation = 0;
+    {
+      std::unique_lock<std::mutex> lock{mutex_};
+      generation = generation_;
+    }
     workers_.reserve(static_cast<std::size_t>(n - 1));
     for (int rank = 1; rank < n; ++rank) {
-      workers_.emplace_back([this, rank] { worker_loop(rank); });
+      workers_.emplace_back(
+          [this, rank, generation] { worker_loop(rank, generation); });
     }
   }
 
   // dv:thread-entry(pool worker thread spawned by spawn())
-  void worker_loop(int rank) {
-    std::uint64_t seen_generation = 0;
+  void worker_loop(int rank, std::uint64_t seen_generation) {
     for (;;) {
       parallel_job* job = nullptr;
       {
@@ -159,6 +173,8 @@ class thread_pool {
   /// Same quiescence contract as threads_: mutated only in spawn/resize
   /// after every worker has joined. dv-lint: allow(race)
   std::vector<std::thread> workers_;
+  /// Set while one caller's region runs on the workers.
+  std::atomic<bool> busy_{false};
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
@@ -184,8 +200,10 @@ void run_region(
   const std::int64_t num_chunks = parallel_chunk_count(begin, end, grain);
   if (num_chunks <= 0) return;
   // Sequential execution preserves the exact chunk decomposition, so the
-  // deterministic-chunking contract holds on every path.
-  if (num_chunks == 1 || t_in_parallel_region || pool().threads() == 1) {
+  // deterministic-chunking contract holds on every path. A region that
+  // finds the workers busy with another thread's region runs here too.
+  if (num_chunks == 1 || t_in_parallel_region || pool().threads() == 1 ||
+      !pool().try_claim()) {
     for (std::int64_t chunk = 0; chunk < num_chunks; ++chunk) {
       const std::int64_t b = begin + chunk * grain;
       const std::int64_t e = std::min(end, b + grain);

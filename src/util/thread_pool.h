@@ -12,7 +12,10 @@
 // The pool is a process-wide singleton sized from the DV_THREADS
 // environment variable (default: std::thread::hardware_concurrency).
 // Nested parallel regions execute sequentially on the calling worker, so
-// library code can call parallel_for unconditionally.
+// library code can call parallel_for unconditionally. The workers serve one
+// region at a time: a region entered while another thread's region holds
+// them runs sequentially on its own caller, so independent threads may
+// call parallel_for concurrently.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +46,10 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
 
 /// Like parallel_for but also passes the chunk index (for per-chunk
 /// reduction slots, see the determinism contract above) and the rank of
-/// the executing thread in [0, thread_count()) (for per-thread scratch
-/// buffers — scratch contents must not leak into results).
+/// the executing thread in [0, thread_count()). Ranks are not unique
+/// across threads: every chunk of a nested or sequential region runs as
+/// rank 0, possibly while another region's rank 0 runs elsewhere. Scratch
+/// therefore lives in thread_local buffers, never in rank-indexed slots.
 void parallel_for_chunks(
     std::int64_t begin, std::int64_t end, std::int64_t grain,
     const std::function<void(std::int64_t chunk, std::int64_t chunk_begin,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 
 #include "core/deep_validator.h"
 #include "core/feature_scaler.h"
@@ -260,6 +261,45 @@ TEST(DeepValidator, ThresholdFlagging) {
   dv.set_threshold(0.5);
   EXPECT_TRUE(dv.flags_invalid(0.6));
   EXPECT_FALSE(dv.flags_invalid(0.4));
+  EXPECT_FALSE(dv.flags_invalid(0.5));
+}
+
+TEST(DeepValidator, NanJointFailsClosed) {
+  deep_validator dv;
+  dv.set_threshold(0.5);
+  EXPECT_TRUE(dv.flags_invalid(std::numeric_limits<double>::quiet_NaN()));
+  const validator_bank_view bank{{}, {}, 1, batch_config{}, 0.5};
+  EXPECT_TRUE(bank.flags_invalid(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_TRUE(bank.flags_invalid(0.6));
+  EXPECT_FALSE(bank.flags_invalid(0.5));
+  EXPECT_FALSE(bank.flags_invalid(-std::numeric_limits<double>::infinity()));
+}
+
+TEST(DeepValidator, FitRejectsSettingsThatWouldHang) {
+  const auto& world = shared_tiny_world();
+  deep_validator_config cfg = tiny_dv_config();
+  cfg.batch.max_batch = 0;
+  deep_validator dv;
+  EXPECT_THROW(dv.fit(*world.model, world.train, cfg), std::invalid_argument);
+  cfg.batch.max_batch = 16;
+  cfg.spatial = 0;
+  EXPECT_THROW(dv.fit(*world.model, world.train, cfg), std::invalid_argument);
+  EXPECT_FALSE(dv.fitted());
+}
+
+TEST(DeepValidator, LegacyLoadRejectsZeroMaxBatch) {
+  const std::string path = ::testing::TempDir() + "/dv_zero_batch.bin";
+  {
+    binary_writer w{path, "dv-validator-v1"};
+    w.write_i32(1);  // spatial
+    w.write_i32(0);  // max_batch
+    w.write_f64(0.5);
+    w.write_i32_vector({0});
+    w.write_u64(0);
+    w.finish();
+  }
+  EXPECT_THROW((void)deep_validator::load(path), serialize_error);
+  std::remove(path.c_str());
 }
 
 TEST(DeepValidator, SaveLoadReproducesScores) {

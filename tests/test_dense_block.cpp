@@ -90,13 +90,12 @@ TEST(DenseBlock, UnitProbes) {
   block.set_unit_probes(2);  // last two units
   EXPECT_EQ(block.probe_count(), 2);
   tensor x = tensor::randn({1, 2, 4, 4}, gen);
-  (void)block.forward(x, true);
-  std::vector<const tensor*> probes;
-  block.collect_probes(probes);
+  std::vector<tensor> probes;
+  (void)block.infer(x, &probes);
   ASSERT_EQ(probes.size(), 2u);
   // Each probe is the new feature maps of one unit: growth channels.
-  EXPECT_EQ(probes[0]->extent(1), 3);
-  EXPECT_EQ(probes[1]->extent(1), 3);
+  EXPECT_EQ(probes[0].extent(1), 3);
+  EXPECT_EQ(probes[1].extent(1), 3);
 }
 
 TEST(DenseBlock, AllUnitProbes) {

@@ -1,0 +1,470 @@
+// Tests of the reentrant inference path (nn/layer.h infer(),
+// sequential::infer, extract_activations): for every layer kind and the
+// three model factories, the const path's logits and probes equal the
+// stateful forward(x, false) bit for bit at every slice-relative batch
+// size, DV_THREADS setting and supported DV_SIMD level; concurrent callers
+// on one shared const model get the serial result; deep_validator::fit's
+// one-pass Algorithm 1 builds the same bank as a predict-filter-then-
+// extract reference; and every layer kind shows up in the trace.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "core/activation_batch.h"
+#include "core/deep_validator.h"
+#include "nn/dense_block.h"
+#include "nn/layers.h"
+#include "pipeline/models.h"
+#include "tensor/ops.h"
+#include "tensor/simd/simd.h"
+#include "test_util.h"
+#include "util/flat_snapshot.h"
+#include "util/metrics.h"
+#include "util/thread_pool.h"
+#include "util/trace.h"
+
+namespace dv {
+namespace {
+
+constexpr std::int64_t k_slice = sequential::infer_slice_rows;
+
+/// Batch sizes around the slice boundary plus two multi-slice batches.
+const std::vector<std::int64_t>& batch_sizes() {
+  static const std::vector<std::int64_t> sizes{
+      1, k_slice - 1, k_slice, k_slice + 1, 32, 128};
+  return sizes;
+}
+
+/// Restores the startup dispatch level and thread count when a test exits.
+struct pool_state_guard {
+  ~pool_state_guard() {
+    reset_simd_level();
+    set_thread_count(0);
+  }
+};
+
+/// The (SIMD level, DV_THREADS) pairs the identity matrix covers for a
+/// batch of `n` rows: every supported level at 1, 4 and 8 threads, except
+/// that whole models at the largest batch run only at the widest level
+/// (the kernels' level identity is pinned by test_simd; what this matrix
+/// adds is the slicing, which a batch of 32 already spans at every level).
+std::vector<std::pair<simd_level, int>> settings(std::int64_t n = 0,
+                                                 bool whole_model = false) {
+  std::vector<simd_level> levels;
+  for (const auto level :
+       {simd_level::scalar, simd_level::sse2, simd_level::avx2}) {
+    if (simd_level_supported(level)) levels.push_back(level);
+  }
+  if (whole_model && n > 32) levels.erase(levels.begin(), levels.end() - 1);
+  std::vector<std::pair<simd_level, int>> out;
+  for (const auto level : levels) {
+    for (const int threads : {1, 4, 8}) out.emplace_back(level, threads);
+  }
+  return out;
+}
+
+std::string setting_name(const std::pair<simd_level, int>& s) {
+  return std::string{simd_level_name(s.first)} +
+         " threads=" + std::to_string(s.second);
+}
+
+bool bitwise_equal(const tensor& a, const tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// Channels [first, first + count) of a 4-D tensor.
+tensor channel_slice(const tensor& x, std::int64_t first, std::int64_t count) {
+  const std::int64_t n = x.extent(0), c = x.extent(1);
+  const std::int64_t plane = x.extent(2) * x.extent(3);
+  tensor out{{n, count, x.extent(2), x.extent(3)}};
+  for (std::int64_t i = 0; i < n; ++i) {
+    std::memcpy(out.data() + i * count * plane,
+                x.data() + (i * c + first) * plane,
+                static_cast<std::size_t>(count * plane) * sizeof(float));
+  }
+  return out;
+}
+
+// -- Layer kinds -------------------------------------------------------------------
+
+struct layer_case {
+  std::string name;
+  std::function<std::unique_ptr<layer>()> make;
+  /// Input shape without the batch axis.
+  std::vector<std::int64_t> sample_shape;
+  /// The probes a probed layer must report, from its stateful output.
+  std::function<std::vector<tensor>(const tensor& out)> expected_probes;
+};
+
+std::vector<tensor> output_only(const tensor& out) { return {out}; }
+
+/// Batch norm with non-trivial running statistics and affine parameters,
+/// as after training.
+std::unique_ptr<layer> trained_batch_norm(std::int64_t channels) {
+  auto bn = std::make_unique<batch_norm>(channels);
+  rng gen{41};
+  bn->running_mean() = tensor::randn({channels}, gen, 0.5f);
+  bn->running_var() = tensor::uniform({channels}, gen, 0.5f, 2.0f);
+  for (const auto& p : bn->params()) *p.value = tensor::randn({channels}, gen);
+  return bn;
+}
+
+std::vector<layer_case> layer_cases() {
+  std::vector<layer_case> out;
+  out.push_back({"conv2d",
+                 [] {
+                   rng gen{1};
+                   return std::make_unique<conv2d>(3, 5, 3, 1, 1, gen);
+                 },
+                 {3, 9, 9},
+                 output_only});
+  out.push_back({"conv2d_strided_no_bias",
+                 [] {
+                   rng gen{2};
+                   return std::make_unique<conv2d>(2, 4, 3, 2, 0, gen,
+                                                   /*bias=*/false);
+                 },
+                 {2, 9, 9},
+                 output_only});
+  out.push_back({"dense",
+                 [] {
+                   rng gen{3};
+                   return std::make_unique<dense>(40, 7, gen);
+                 },
+                 {40},
+                 output_only});
+  out.push_back({"relu", [] { return std::make_unique<relu>(); }, {3, 5, 5},
+                 output_only});
+  out.push_back({"leaky_relu",
+                 [] { return std::make_unique<leaky_relu>(0.1f); },
+                 {3, 5, 5},
+                 output_only});
+  out.push_back({"sigmoid", [] { return std::make_unique<sigmoid>(); },
+                 {17},
+                 output_only});
+  out.push_back({"tanh", [] { return std::make_unique<tanh_layer>(); },
+                 {17},
+                 output_only});
+  out.push_back({"dropout",
+                 [] { return std::make_unique<dropout>(0.5, 4); },
+                 {3, 5, 5},
+                 output_only});
+  out.push_back({"flatten", [] { return std::make_unique<flatten>(); },
+                 {3, 4, 5},
+                 output_only});
+  out.push_back({"max_pool2d",
+                 [] { return std::make_unique<max_pool2d>(2); },
+                 {3, 7, 8},
+                 output_only});
+  out.push_back({"avg_pool2d",
+                 [] { return std::make_unique<avg_pool2d>(2); },
+                 {3, 8, 7},
+                 output_only});
+  out.push_back({"global_avg_pool",
+                 [] { return std::make_unique<global_avg_pool>(); },
+                 {3, 5, 6},
+                 output_only});
+  out.push_back({"batch_norm_spatial", [] { return trained_batch_norm(3); },
+                 {3, 5, 5},
+                 output_only});
+  out.push_back({"batch_norm_dense", [] { return trained_batch_norm(9); },
+                 {9},
+                 output_only});
+  // Block probes: every unit's new feature maps (channels 4 + 3u onward of
+  // the output), then the block output.
+  out.push_back({"dense_block",
+                 [] {
+                   rng gen{5};
+                   auto block = std::make_unique<dense_block>(4, 3, 3, gen);
+                   block->set_unit_probes(-1);
+                   return block;
+                 },
+                 {4, 6, 6},
+                 [](const tensor& y) {
+                   std::vector<tensor> probes;
+                   for (std::int64_t u = 0; u < 3; ++u) {
+                     probes.push_back(channel_slice(y, 4 + 3 * u, 3));
+                   }
+                   probes.push_back(y);
+                   return probes;
+                 }});
+  out.push_back({"transition",
+                 [] {
+                   rng gen{6};
+                   return std::make_unique<transition>(6, 3, gen);
+                 },
+                 {6, 8, 8},
+                 output_only});
+  return out;
+}
+
+TEST(InferenceIdentity, EveryLayerKindMatchesStatefulForward) {
+  pool_state_guard guard;
+  for (const layer_case& lc : layer_cases()) {
+    std::unique_ptr<layer> l = lc.make();
+    l->set_probe(true);
+    for (const std::int64_t n : batch_sizes()) {
+      std::vector<std::int64_t> shape{n};
+      shape.insert(shape.end(), lc.sample_shape.begin(),
+                   lc.sample_shape.end());
+      rng gen{static_cast<std::uint64_t>(100 + n)};
+      const tensor x = tensor::randn(shape, gen);
+      const tensor expected = l->forward(x, false);
+      const std::vector<tensor> expected_probes = lc.expected_probes(expected);
+      ASSERT_EQ(static_cast<int>(expected_probes.size()), l->probe_count())
+          << lc.name;
+      for (const auto& s : settings()) {
+        set_simd_level(s.first);
+        set_thread_count(s.second);
+        std::vector<tensor> probes;
+        const tensor got = l->infer(x, &probes);
+        EXPECT_TRUE(bitwise_equal(got, expected))
+            << lc.name << " n=" << n << " " << setting_name(s);
+        ASSERT_EQ(probes.size(), expected_probes.size()) << lc.name;
+        for (std::size_t p = 0; p < probes.size(); ++p) {
+          EXPECT_TRUE(bitwise_equal(probes[p], expected_probes[p]))
+              << lc.name << " probe " << p << " n=" << n << " "
+              << setting_name(s);
+        }
+        // Without a probe list the output is the same and nothing leaks.
+        EXPECT_TRUE(bitwise_equal(l->infer(x, nullptr), expected)) << lc.name;
+      }
+      reset_simd_level();
+      set_thread_count(0);
+    }
+  }
+}
+
+// -- Model factories ----------------------------------------------------------------
+
+/// Probes of `model` on `x` from the stateful path: each probe layer's
+/// infer() fed the input that the stateful forward(h, false) chain gives
+/// it, so the expected rows never pass through sequential::infer's
+/// slicing. (Per-layer infer() itself is pinned by the test above.)
+std::vector<tensor> stateful_probes(sequential& model, const tensor& x,
+                                    tensor& logits) {
+  std::vector<tensor> probes;
+  tensor h = x;
+  for (std::size_t i = 0; i < model.layer_count(); ++i) {
+    if (model.at(i).probe_count() > 0) {
+      (void)model.at(i).infer(h, &probes);
+    }
+    h = model.at(i).forward(h, false);
+  }
+  logits = std::move(h);
+  return probes;
+}
+
+TEST(InferenceIdentity, ModelFactoriesMatchStatefulForward) {
+  pool_state_guard guard;
+  for (const auto kind :
+       {dataset_kind::digits, dataset_kind::street, dataset_kind::objects}) {
+    auto model = make_model(kind, 7);
+    const std::vector<std::int64_t> sample =
+        kind == dataset_kind::digits ? std::vector<std::int64_t>{1, 28, 28}
+                                     : std::vector<std::int64_t>{3, 32, 32};
+    for (const std::int64_t n : batch_sizes()) {
+      std::vector<std::int64_t> shape{n};
+      shape.insert(shape.end(), sample.begin(), sample.end());
+      rng gen{static_cast<std::uint64_t>(200 + n)};
+      const tensor x = tensor::uniform(shape, gen, 0.0f, 1.0f);
+      const tensor forward_logits = model->forward(x, false);
+      tensor chain_logits;
+      const std::vector<tensor> expected_probes =
+          stateful_probes(*model, x, chain_logits);
+      ASSERT_TRUE(bitwise_equal(chain_logits, forward_logits));
+      ASSERT_EQ(static_cast<int>(expected_probes.size()),
+                model->probe_count());
+      for (const auto& s : settings(n, /*whole_model=*/true)) {
+        set_simd_level(s.first);
+        set_thread_count(s.second);
+        const inference got = model->infer(x);
+        const std::string where = std::string{model_name(kind)} +
+                                  " n=" + std::to_string(n) + " " +
+                                  setting_name(s);
+        EXPECT_TRUE(bitwise_equal(got.logits, forward_logits)) << where;
+        ASSERT_EQ(got.probes.size(), expected_probes.size()) << where;
+        for (std::size_t p = 0; p < got.probes.size(); ++p) {
+          EXPECT_TRUE(bitwise_equal(got.probes[p], expected_probes[p]))
+              << where << " probe " << p;
+        }
+      }
+      reset_simd_level();
+      set_thread_count(0);
+      const inference logits_only = model->infer(x, /*with_probes=*/false);
+      EXPECT_TRUE(bitwise_equal(logits_only.logits, forward_logits));
+      EXPECT_TRUE(logits_only.probes.empty());
+      EXPECT_EQ(model->predict(x), argmax_rows(forward_logits));
+    }
+  }
+}
+
+// -- Concurrency ---------------------------------------------------------------------
+
+TEST(InferenceConcurrency, ThreadsSharingOneConstModelGetTheSerialResult) {
+  pool_state_guard guard;
+  set_thread_count(4);
+  const std::unique_ptr<const sequential> model =
+      make_model(dataset_kind::street, 11);
+  rng gen{12};
+  const tensor images = tensor::uniform({3 * k_slice + 1, 3, 32, 32}, gen,
+                                        0.0f, 1.0f);
+  const activation_batch serial = extract_activations(*model, images);
+
+  constexpr int k_threads = 4;
+  constexpr int k_rounds = 3;
+  std::vector<std::vector<activation_batch>> got(k_threads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < k_threads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < k_rounds; ++r) {
+        got[static_cast<std::size_t>(t)].push_back(
+            extract_activations(*model, images));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < k_threads; ++t) {
+    ASSERT_EQ(got[static_cast<std::size_t>(t)].size(),
+              static_cast<std::size_t>(k_rounds));
+    for (const activation_batch& acts : got[static_cast<std::size_t>(t)]) {
+      EXPECT_TRUE(bitwise_equal(acts.logits, serial.logits)) << "thread " << t;
+      EXPECT_EQ(acts.predictions, serial.predictions);
+      ASSERT_EQ(acts.probes.size(), serial.probes.size());
+      for (std::size_t p = 0; p < acts.probes.size(); ++p) {
+        EXPECT_TRUE(bitwise_equal(acts.probes[p], serial.probes[p]))
+            << "thread " << t << " probe " << p;
+      }
+    }
+  }
+}
+
+// -- One-pass Algorithm 1 -----------------------------------------------------------
+
+/// Algorithm 1 as two passes: a predict() filter over the training split,
+/// the per-class subsample, then extract_activations over just the kept
+/// images. Writes the bank as deep_validator::save_snapshot would.
+std::vector<std::uint8_t> two_pass_bank_image(const sequential& model,
+                                              const dataset& train,
+                                              const deep_validator_config& cfg,
+                                              double threshold) {
+  std::vector<std::int64_t> kept;
+  for (std::int64_t b = 0; b < train.size(); b += 128) {
+    const std::int64_t e = std::min<std::int64_t>(train.size(), b + 128);
+    const auto preds = model.predict(train.images.slice_rows(b, e));
+    for (std::int64_t i = b; i < e; ++i) {
+      if (preds[static_cast<std::size_t>(i - b)] ==
+          train.labels[static_cast<std::size_t>(i)]) {
+        kept.push_back(i);
+      }
+    }
+  }
+  rng gen{cfg.seed};
+  std::vector<std::vector<std::int64_t>> per_class(
+      static_cast<std::size_t>(train.num_classes));
+  for (const auto i : kept) {
+    per_class[static_cast<std::size_t>(
+                  train.labels[static_cast<std::size_t>(i)])]
+        .push_back(i);
+  }
+  kept.clear();
+  for (auto& rows : per_class) {
+    gen.shuffle_indices(rows.size(), [&](std::size_t a, std::size_t b) {
+      std::swap(rows[a], rows[b]);
+    });
+    const auto cap = static_cast<std::size_t>(cfg.max_train_per_class);
+    if (cfg.max_train_per_class > 0 && rows.size() > cap) rows.resize(cap);
+    kept.insert(kept.end(), rows.begin(), rows.end());
+  }
+  std::sort(kept.begin(), kept.end());
+  const dataset fit_set = train.subset(kept);
+
+  const int probes = model.probe_count();
+  std::vector<tensor> features(static_cast<std::size_t>(probes));
+  for (std::int64_t b = 0; b < fit_set.size(); b += cfg.batch.max_batch) {
+    const std::int64_t e =
+        std::min<std::int64_t>(fit_set.size(), b + cfg.batch.max_batch);
+    const activation_batch acts =
+        extract_activations(model, fit_set.images.slice_rows(b, e));
+    for (int p = 0; p < probes; ++p) {
+      const tensor block = acts.probe_features(p, cfg.spatial);
+      tensor& all = features[static_cast<std::size_t>(p)];
+      if (all.empty()) all = tensor{{fit_set.size(), block.extent(1)}};
+      std::copy_n(block.data(), block.numel(), all.data() + b * block.extent(1));
+    }
+  }
+  snapshot_writer w;
+  w.add_i64_scalar("bank/format", 1);
+  const std::int64_t meta_i[3] = {cfg.spatial, cfg.batch.max_batch, probes};
+  const double meta_f[1] = {threshold};
+  w.add_i64("bank/meta_i", meta_i);
+  w.add_f64("bank/meta_f", meta_f);
+  std::vector<std::int32_t> probe_ids;
+  for (int p = 0; p < probes; ++p) probe_ids.push_back(p);
+  w.add_i32("bank/probes", probe_ids);
+  for (int p = 0; p < probes; ++p) {
+    layer_validator layer;
+    layer.fit(features[static_cast<std::size_t>(p)], fit_set.labels,
+              fit_set.num_classes, cfg.svm);
+    layer.save_snapshot(w, "bank/L" + std::to_string(p) + "/");
+  }
+  return w.serialize();
+}
+
+TEST(OnePassFit, BankIsBitwiseEqualToTwoPassReference) {
+  const auto& world = dv::testing::shared_tiny_world();
+  deep_validator_config cfg;
+  cfg.max_train_per_class = 30;
+  cfg.batch.max_batch = 48;  // chunks that straddle slice boundaries
+  deep_validator bank;
+  bank.fit(*world.model, world.train, cfg);
+  bank.set_threshold(0.25);
+  const std::string path = ::testing::TempDir() + "dv-one-pass-bank.dvsnap";
+  bank.save_snapshot(path);
+  std::ifstream in{path, std::ios::binary};
+  const std::vector<std::uint8_t> one_pass{std::istreambuf_iterator<char>{in},
+                                           std::istreambuf_iterator<char>{}};
+  const std::vector<std::uint8_t> two_pass =
+      two_pass_bank_image(*world.model, world.train, cfg, 0.25);
+  EXPECT_EQ(one_pass, two_pass);
+}
+
+// -- Tracing --------------------------------------------------------------------------
+
+bool has_span(const std::vector<trace_node>& nodes, const std::string& name) {
+  for (const trace_node& node : nodes) {
+    if (node.name == name || has_span(node.children, name)) return true;
+  }
+  return false;
+}
+
+TEST(InferenceTrace, StreetForwardTracesEveryLayerKind) {
+  const bool was_enabled = metrics::enabled();
+  metrics::set_enabled(true);
+  trace_reset();
+  const auto model = make_model(dataset_kind::street, 3);
+  rng gen{4};
+  (void)model->infer(tensor::uniform({2 * k_slice, 3, 32, 32}, gen, 0, 1));
+  const auto trace = trace_snapshot();
+  trace_reset();
+  metrics::set_enabled(was_enabled);
+  for (const char* kind :
+       {"conv2d", "relu", "max_pool2d", "flatten", "dense"}) {
+    EXPECT_TRUE(has_span(trace, std::string{"nn."} + kind + ".forward"))
+        << kind;
+  }
+}
+
+}  // namespace
+}  // namespace dv

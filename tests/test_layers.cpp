@@ -276,19 +276,17 @@ TEST(BatchNorm, ChannelMismatchThrows) {
   EXPECT_THROW(l.forward(x, true), std::invalid_argument);
 }
 
-TEST(ProbeFlag, CachesOutputOnlyWhenProbed) {
+TEST(ProbeFlag, RecordsOutputOnlyWhenProbed) {
   relu l;
   rng gen{18};
   tensor x = tensor::randn({1, 4}, gen);
-  std::vector<const tensor*> probes;
-  (void)l.forward(x, true);
-  l.collect_probes(probes);
+  std::vector<tensor> probes;
+  (void)l.infer(x, &probes);
   EXPECT_TRUE(probes.empty());
   l.set_probe(true);
-  (void)l.forward(x, true);
-  l.collect_probes(probes);
+  (void)l.infer(x, &probes);
   ASSERT_EQ(probes.size(), 1u);
-  EXPECT_EQ(probes[0]->numel(), 4);
+  EXPECT_EQ(probes[0].numel(), 4);
   EXPECT_EQ(l.probe_count(), 1);
 }
 

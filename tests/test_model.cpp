@@ -28,13 +28,13 @@ TEST(Model, ForwardShapeAndProbes) {
   auto m = small_net(1);
   rng gen{2};
   tensor x = tensor::randn({5, 1, 4, 4}, gen);
-  const tensor logits = m->forward(x);
-  EXPECT_EQ(logits.shape(), (std::vector<std::int64_t>{5, 3}));
+  const inference pass = m->infer(x);
+  EXPECT_EQ(pass.logits.shape(), (std::vector<std::int64_t>{5, 3}));
   EXPECT_EQ(m->probe_count(), 2);
-  const auto probes = m->probes();
+  const auto& probes = pass.probes;
   ASSERT_EQ(probes.size(), 2u);
-  EXPECT_EQ(probes[0]->shape(), (std::vector<std::int64_t>{5, 2, 4, 4}));
-  EXPECT_EQ(probes[1]->shape(), (std::vector<std::int64_t>{5, 8}));
+  EXPECT_EQ(probes[0].shape(), (std::vector<std::int64_t>{5, 2, 4, 4}));
+  EXPECT_EQ(probes[1].shape(), (std::vector<std::int64_t>{5, 8}));
 }
 
 TEST(Model, ProbabilitiesSumToOne) {
@@ -159,8 +159,7 @@ TEST(ModelFactories, DensenetProbesAndForward) {
   tensor x = tensor::randn({2, 3, 32, 32}, gen);
   const tensor logits = m->forward(x, true);
   EXPECT_EQ(logits.shape(), (std::vector<std::int64_t>{2, 10}));
-  const auto probes = m->probes();
-  EXPECT_EQ(probes.size(), 12u);
+  EXPECT_EQ(m->infer(x).probes.size(), 12u);
 }
 
 TEST(ModelFactories, MakeModelDispatch) {

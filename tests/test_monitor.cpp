@@ -1,6 +1,8 @@
 // Tests for the runtime fail-safe monitor and the environment-drift stream.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "augment/stream.h"
 #include "core/monitor.h"
 #include "eval/metrics.h"
@@ -250,6 +252,16 @@ TEST(Monitor, ApplyIsAPureStateMachineStep) {
   EXPECT_TRUE(monitor.apply({valid, 3}).alarm);    // one valid: still latched
   EXPECT_FALSE(monitor.apply({valid, 3}).alarm);   // release_count reached
   EXPECT_EQ(monitor.frames_seen(), 5);
+}
+
+TEST(Monitor, NanDiscrepancyIsAnInvalidFrame) {
+  const auto& world = shared_tiny_world();
+  const auto& validator = fitted_validator();
+  runtime_monitor monitor{*world.model, validator};
+  const auto verdict =
+      monitor.apply({std::numeric_limits<double>::quiet_NaN(), 1});
+  EXPECT_TRUE(verdict.frame_invalid);
+  EXPECT_FALSE(monitor.apply({validator.threshold() - 1.0, 1}).frame_invalid);
 }
 
 TEST(Monitor, BatchSpanningTriggerBoundaryLatchesMidBatch) {

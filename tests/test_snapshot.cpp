@@ -346,6 +346,44 @@ TEST(SnapshotBank, FromSnapshotRejectsNonBankFile) {
                serialize_error);
 }
 
+/// A one-layer bank snapshot whose header says `max_batch`; the layer is a
+/// real fitted validator, so the batch size is the only thing wrong.
+std::string bank_with_max_batch(std::int64_t max_batch) {
+  rng gen{51};
+  const tensor features = tensor::randn({12, 3}, gen);
+  const std::vector<std::int64_t> labels{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1};
+  layer_validator layer;
+  layer.fit(features, labels, 2, {});
+  snapshot_writer w;
+  w.add_i64_scalar("bank/format", 1);
+  const std::int64_t meta_i[3] = {1, max_batch, 1};
+  const double meta_f[1] = {0.5};
+  const std::int32_t probes[1] = {0};
+  w.add_i64("bank/meta_i", meta_i);
+  w.add_f64("bank/meta_f", meta_f);
+  w.add_i32("bank/probes", probes);
+  layer.save_snapshot(w, "bank/L0/");
+  const std::string path = ::testing::TempDir() + "dv-max-batch-" +
+                           std::to_string(max_batch) + ".dvsnap";
+  w.finish(path);
+  return path;
+}
+
+TEST(SnapshotBank, BothLoadersRejectZeroMaxBatch) {
+  const std::string bad = bank_with_max_batch(0);
+  EXPECT_THROW((void)deep_validator::load_snapshot(bad), serialize_error);
+  EXPECT_THROW(
+      (void)validator_bank_view::from_snapshot(snapshot_view::open(bad)),
+      serialize_error);
+  // The same bank with a usable batch size loads through both.
+  const std::string good = bank_with_max_batch(1);
+  EXPECT_EQ(deep_validator::load_snapshot(good).batching().max_batch, 1);
+  EXPECT_EQ(validator_bank_view::from_snapshot(snapshot_view::open(good))
+                .batching()
+                .max_batch,
+            1);
+}
+
 // -- metrics ------------------------------------------------------------------
 
 TEST(SnapshotMetrics, LoadFamilyRecorded) {
