@@ -6,7 +6,8 @@
 // argument, so `scripts/run_perf_bench.sh` records the scaling curve of
 // the parallel runtime alongside the single-threaded kernel numbers;
 // bm_extract_activations records the same curve for a whole-model
-// inference pass.
+// inference pass. Kernel benchmarks measure the kernel, not a cache: the
+// one variant that measures cache hits has "cached" in its name.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include "tensor/simd/simd.h"
 #include "util/metrics.h"
 #include "util/rng.h"
+#include "util/strong_lru.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -216,8 +218,22 @@ BENCHMARK(bm_kernel_matrix_threads)
     ->ArgName("threads")
     ->UseRealTime();
 
-void bm_svm_decision_batch_threads(benchmark::State& state) {
+/// Pins the process-wide caching knob (DV_CACHE) for one benchmark run and
+/// restores it after.
+struct cache_arg {
+  explicit cache_arg(bool enabled) : saved{cache_enabled()} {
+    set_cache_enabled(enabled);
+  }
+  ~cache_arg() { set_cache_enabled(saved); }
+  bool saved;
+};
+
+/// One-class SVM scoring of the same 256 rows per iteration. Uncached it
+/// measures the RBF decision kernel; cached, every iteration after the
+/// first is served from the decision cache.
+void svm_decision_batch(benchmark::State& state, bool cached) {
   thread_arg threads{state.range(0)};
+  cache_arg cache{cached};
   rng gen{8};
   tensor samples = tensor::randn({300, 16}, gen);
   one_class_svm svm;
@@ -229,7 +245,22 @@ void bm_svm_decision_batch_threads(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
+
+void bm_svm_decision_batch_threads(benchmark::State& state) {
+  svm_decision_batch(state, /*cached=*/false);
+}
 BENCHMARK(bm_svm_decision_batch_threads)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->ArgName("threads")
+    ->UseRealTime();
+
+void bm_svm_decision_batch_cached_threads(benchmark::State& state) {
+  svm_decision_batch(state, /*cached=*/true);
+}
+BENCHMARK(bm_svm_decision_batch_cached_threads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

@@ -20,7 +20,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <future>
 #include <mutex>
 #include <string>
@@ -28,7 +27,6 @@
 #include <vector>
 
 #include "core/monitor.h"
-#include "core/validator_bank.h"
 #include "data/synth_digits.h"
 #include "eval/metrics.h"
 #include "eval/table.h"
@@ -37,7 +35,6 @@
 #include "nn/trainer.h"
 #include "serve/monitor_service.h"
 #include "tensor/simd/simd.h"
-#include "util/flat_snapshot.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -323,59 +320,12 @@ dup_result run_duplicate(bench_world& w, const deep_validator& validator,
   return out;
 }
 
-/// Cold-start path (docs/SNAPSHOTS.md): artifact on disk -> loaded bank
-/// -> first verdict, for the legacy binary format vs the flat snapshot
-/// under both I/O paths. Best-of-reps, so the numbers compare the loaders
-/// rather than first-touch page-cache noise.
-struct cold_start_result {
-  std::string mode;
-  std::uint64_t artifact_bytes{0};
-  double load_ms{0.0};
-  double first_verdict_ms{0.0};
-  double total_ms{0.0};
-};
-
-cold_start_result run_cold_start(bench_world& w, const std::string& mode,
-                                 const std::string& path,
-                                 const tensor& frame_batch) {
-  constexpr int kReps = 5;
-  cold_start_result out;
-  out.mode = mode;
-  out.artifact_bytes =
-      static_cast<std::uint64_t>(std::filesystem::file_size(path));
-  out.load_ms = out.first_verdict_ms = out.total_ms = 1e300;
-  const bool legacy = mode == "legacy_bin";
-  set_snapshot_mmap(mode != "snapshot_buffered");
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t0 = clock_type::now();
-    clock_type::time_point t1;
-    if (legacy) {
-      const deep_validator validator = deep_validator::load(path);
-      t1 = clock_type::now();
-      (void)validator.bank().evaluate(*w.model, frame_batch);
-    } else {
-      const auto bank =
-          validator_bank_view::from_snapshot(snapshot_view::open(path));
-      t1 = clock_type::now();
-      (void)bank.evaluate(*w.model, frame_batch);
-    }
-    const auto t2 = clock_type::now();
-    out.load_ms = std::min(out.load_ms, seconds_between(t0, t1) * 1000.0);
-    out.first_verdict_ms =
-        std::min(out.first_verdict_ms, seconds_between(t1, t2) * 1000.0);
-    out.total_ms = std::min(out.total_ms, seconds_between(t0, t2) * 1000.0);
-  }
-  set_snapshot_mmap(true);
-  return out;
-}
-
 void write_json(const char* path, int n_frames, int dv_threads,
                 double baseline_fps, const latency_stats& baseline_latency,
                 const std::vector<scenario_result>& scenarios,
                 std::int64_t dup_repeat,
                 const std::vector<dup_result>& dup_runs,
-                double dup_paced_fps_ratio,
-                const std::vector<cold_start_result>& cold_runs) {
+                double dup_paced_fps_ratio) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_serve: cannot write %s\n", path);
@@ -428,19 +378,6 @@ void write_json(const char* path, int n_frames, int dv_threads,
         static_cast<unsigned long long>(r.counters.decision_hits),
         static_cast<unsigned long long>(r.counters.decision_misses),
         r.worker.mean_batch, i + 1 < dup_runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]},\n");
-  std::fprintf(f, "  \"cold_start\": {\"reps\": 5, \"runs\": [\n");
-  for (std::size_t i = 0; i < cold_runs.size(); ++i) {
-    const auto& c = cold_runs[i];
-    std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"artifact_bytes\": %llu, "
-                 "\"load_ms\": %.3f, \"first_verdict_ms\": %.3f, "
-                 "\"total_ms\": %.3f}%s\n",
-                 c.mode.c_str(),
-                 static_cast<unsigned long long>(c.artifact_bytes), c.load_ms,
-                 c.first_verdict_ms, c.total_ms,
-                 i + 1 < cold_runs.size() ? "," : "");
   }
   std::fprintf(f, "  ]}\n}\n");
   std::fclose(f);
@@ -571,38 +508,7 @@ int main() {
               dup_table.render().c_str());
   std::printf("paced fps ratio cache on/off: %.2fx\n", dup_ratio);
 
-  // Cold start: artifact on disk -> first verdict, legacy binary loader
-  // vs flat snapshot (mapped and buffered I/O paths).
-  const std::string cold_dir =
-      std::filesystem::temp_directory_path().string() + "/";
-  const std::string legacy_path = cold_dir + "bench-serve-cold.bin";
-  const std::string snap_path = cold_dir + "bench-serve-cold.dvsnap";
-  validator.save(legacy_path);
-  validator.save_snapshot(snap_path);
-  tensor first_frame{{1, 1, 28, 28}};
-  first_frame.set_sample(0, w.test.images.sample(0));
-  std::vector<cold_start_result> cold_runs;
-  cold_runs.push_back(
-      run_cold_start(w, "legacy_bin", legacy_path, first_frame));
-  cold_runs.push_back(
-      run_cold_start(w, "snapshot_mmap", snap_path, first_frame));
-  cold_runs.push_back(
-      run_cold_start(w, "snapshot_buffered", snap_path, first_frame));
-
-  text_table cold_table{{"Mode", "Artifact (KiB)", "Load (ms)",
-                         "First verdict (ms)", "Total (ms)"}};
-  for (const auto& c : cold_runs) {
-    cold_table.add_row(
-        {c.mode,
-         text_table::fmt(static_cast<double>(c.artifact_bytes) / 1024.0, 1),
-         text_table::fmt(c.load_ms, 3), text_table::fmt(c.first_verdict_ms, 3),
-         text_table::fmt(c.total_ms, 3)});
-  }
-  std::printf("\ncold start (artifact -> first verdict, best of 5):\n%s",
-              cold_table.render().c_str());
-
   write_json("BENCH_serve.json", kFrames, thread_count(), baseline_fps,
-             baseline_latency, scenarios, dup_repeat, dup_runs, dup_ratio,
-             cold_runs);
+             baseline_latency, scenarios, dup_repeat, dup_runs, dup_ratio);
   return 0;
 }

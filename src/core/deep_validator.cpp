@@ -7,14 +7,12 @@
 #include "util/flat_snapshot.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/serialize.h"
 #include "util/stopwatch.h"
 #include "util/trace.h"
 
 namespace dv {
 
 namespace {
-constexpr const char* k_dv_magic = "dv-validator-v1";
 
 /// Appends the rows of `block` to `dst` (allocating on first use).
 void append_rows(tensor& dst, const tensor& block, std::int64_t total_rows,
@@ -162,40 +160,6 @@ double deep_validator::joint_discrepancy(const sequential& model,
     throw std::invalid_argument{"joint_discrepancy: expected one image"};
   }
   return evaluate(model, batch).joint.front();
-}
-
-void deep_validator::save(const std::string& path) const {
-  if (!fitted()) throw std::logic_error{"deep_validator::save: not fitted"};
-  binary_writer w{path, k_dv_magic};
-  w.write_i32(spatial_);
-  w.write_i32(batch_.max_batch);
-  w.write_f64(threshold_);
-  w.write_i32_vector(probe_indices_);
-  w.write_u64(validators_.size());
-  for (const auto& v : validators_) v.save(w);
-  w.finish();
-}
-
-deep_validator deep_validator::load(const std::string& path) {
-  binary_reader r{path, k_dv_magic};
-  deep_validator out;
-  out.spatial_ = r.read_i32();
-  out.batch_.max_batch = r.read_i32();
-  if (const char* error =
-          bank_settings_error(out.spatial_, out.batch_.max_batch)) {
-    throw serialize_error{std::string{"deep_validator::load: "} + error};
-  }
-  out.threshold_ = r.read_f64();
-  out.probe_indices_ = r.read_i32_vector();
-  const auto n = r.read_u64();
-  if (n != out.probe_indices_.size()) {
-    throw serialize_error{"deep_validator::load: inconsistent artifact"};
-  }
-  out.validators_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.validators_.push_back(layer_validator::load(r));
-  }
-  return out;
 }
 
 void deep_validator::save_snapshot(

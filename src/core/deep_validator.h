@@ -11,8 +11,7 @@
 // deep_validator is the mutable BUILDER (fit/refit/threshold); scoring is
 // implemented once in core/validator_bank.h's validator_bank_view, which
 // this class delegates to via bank(). save_snapshot()/load_snapshot()
-// round-trip through the flat snapshot format (docs/SNAPSHOTS.md); the
-// legacy binary_writer save()/load() remain for old artifacts.
+// round-trip through the flat snapshot format (docs/SNAPSHOTS.md).
 #pragma once
 
 #include <cstdint>
@@ -99,9 +98,6 @@ class deep_validator {
   }
 
   bool fitted() const { return !validators_.empty(); }
-
-  void save(const std::string& path) const;
-  static deep_validator load(const std::string& path);
 
   /// Writes the fitted bank as a flat snapshot (docs/SNAPSHOTS.md).
   /// `weighted`, when non-null and fitted, embeds the weighted-joint

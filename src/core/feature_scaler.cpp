@@ -79,22 +79,7 @@ void scaler_view::transform_row(std::span<float> row) const {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization: legacy binary stream + flat snapshot sections.
-
-void feature_scaler::save(binary_writer& w) const {
-  w.write_f32_vector(mean_);
-  w.write_f32_vector(inv_std_);
-}
-
-feature_scaler feature_scaler::load(binary_reader& r) {
-  feature_scaler out;
-  out.mean_ = r.read_f32_vector();
-  out.inv_std_ = r.read_f32_vector();
-  if (out.mean_.size() != out.inv_std_.size()) {
-    throw serialize_error{"feature_scaler::load: inconsistent artifact"};
-  }
-  return out;
-}
+// Serialization: flat snapshot sections.
 
 void feature_scaler::save_snapshot(snapshot_writer& w,
                                    const std::string& prefix) const {

@@ -6,7 +6,7 @@
 //
 // Split into builder and view (DESIGN.md §16): `feature_scaler` owns the
 // fitted statistics; `scaler_view` borrows them — from the builder or from
-// a mapped snapshot (util/flat_snapshot.h) — and carries the single
+// a loaded snapshot (util/flat_snapshot.h) — and carries the single
 // transform implementation both paths share.
 #pragma once
 
@@ -18,8 +18,6 @@
 
 namespace dv {
 
-class binary_reader;
-class binary_writer;
 class snapshot_view;
 class snapshot_writer;
 
@@ -72,9 +70,6 @@ class feature_scaler {
   std::int64_t dimension() const {
     return static_cast<std::int64_t>(mean_.size());
   }
-
-  void save(binary_writer& w) const;
-  static feature_scaler load(binary_reader& r);
 
   /// Writes the fitted statistics as snapshot sections named `prefix` +
   /// {mean, istd} (docs/SNAPSHOTS.md).

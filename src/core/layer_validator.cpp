@@ -139,24 +139,7 @@ std::vector<double> layer_validator_view::discrepancy_batch(
 }
 
 // ---------------------------------------------------------------------------
-// Serialization: legacy binary stream + flat snapshot sections.
-
-void layer_validator::save(binary_writer& w) const {
-  scaler_.save(w);
-  w.write_u64(svms_.size());
-  for (const auto& svm : svms_) svm.save(w);
-}
-
-layer_validator layer_validator::load(binary_reader& r) {
-  layer_validator out;
-  out.scaler_ = feature_scaler::load(r);
-  const auto n = r.read_u64();
-  out.svms_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.svms_.push_back(one_class_svm::load(r));
-  }
-  return out;
-}
+// Serialization: flat snapshot sections.
 
 void layer_validator::save_snapshot(snapshot_writer& w,
                                     const std::string& prefix) const {

@@ -32,10 +32,17 @@ runtime_monitor::runtime_monitor(sequential& model,
 }
 
 monitor_verdict runtime_monitor::apply(const frame_score& score) {
+  return apply(score, validator_.flags_invalid(score.discrepancy), 0);
+}
+
+monitor_verdict runtime_monitor::apply(const frame_score& score,
+                                       bool frame_invalid,
+                                       std::uint64_t generation) {
   monitor_verdict v;
   v.discrepancy = score.discrepancy;
   v.prediction = score.prediction;
-  v.frame_invalid = validator_.flags_invalid(v.discrepancy);
+  v.frame_invalid = frame_invalid;
+  v.generation = generation;
 
   window_.push_back(v.frame_invalid);
   if (static_cast<int>(window_.size()) > config_.window) window_.pop_front();

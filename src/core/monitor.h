@@ -34,6 +34,9 @@ struct monitor_verdict {
   std::int64_t prediction{-1};
   bool frame_invalid{false};
   bool alarm{false};  // latched state after this frame
+  /// Generation of the published bank that judged the frame (0 when the
+  /// monitor's own validator did; see serve/engine_handle.h).
+  std::uint64_t generation{0};
 };
 
 /// One scored frame as produced by the batch path: the joint discrepancy
@@ -52,10 +55,18 @@ class runtime_monitor {
                   monitor_config config = {});
 
   /// Pure state-machine step: folds one scored frame into the sliding
-  /// window, updates the hysteresis latch, and returns the verdict. Not
+  /// window, updates the hysteresis latch, and returns the verdict. The
+  /// frame's validity comes from this monitor's validator threshold. Not
   /// thread-safe — callers (the serving worker, observe) apply scores in
   /// stream order.
   monitor_verdict apply(const frame_score& score);
+
+  /// The same step for a frame the scorer has already judged: validity
+  /// and generation come from the bank that scored it, so a newly
+  /// published threshold takes effect with its generation
+  /// (monitor_service folds rows this way).
+  monitor_verdict apply(const frame_score& score, bool frame_invalid,
+                        std::uint64_t generation);
 
   /// Feeds one [C,H,W] frame; returns the verdict and updates alarm state.
   /// Thin wrapper: one-frame evaluate + apply().
@@ -66,7 +77,8 @@ class runtime_monitor {
   /// bitwise identical to calling observe() per frame.
   std::vector<monitor_verdict> observe_batch(const tensor& frames);
 
-  /// The validator whose threshold defines per-frame validity.
+  /// The validator whose threshold judges frames passed to
+  /// apply(score), observe and observe_batch.
   const deep_validator& validator() const { return validator_; }
 
   bool alarmed() const { return alarmed_; }

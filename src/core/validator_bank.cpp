@@ -5,6 +5,7 @@
 #include <string>
 
 #include "util/metrics.h"
+#include "util/serialize.h"
 #include "util/trace.h"
 
 namespace dv {
@@ -42,6 +43,9 @@ bank_snapshot_header read_bank_header(const snapshot_view& snap) {
     throw serialize_error{"snapshot bank: probe/layer count mismatch"};
   }
   out.probes.assign(probes.begin(), probes.end());
+  // Fail closed on numerically bad banks: a +Inf support-vector entry, for
+  // one, drops out of the RBF sum and leaves finite, wrong discrepancies.
+  snap.require_finite("bank/");
   return out;
 }
 

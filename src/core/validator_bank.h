@@ -5,7 +5,7 @@
 // deep_validator — per-layer validators, probe indices, the decision
 // threshold, the batching knob, and (optionally) the weighted-joint
 // combiner — borrowed either from a live deep_validator (via
-// deep_validator::bank()) or zero-copy out of a mapped flat snapshot
+// deep_validator::bank()) or zero-copy out of a loaded flat snapshot
 // (util/flat_snapshot.h). Both construction paths run the SAME scoring
 // code, so a snapshot-backed bank is bitwise identical to the fitted
 // in-memory bank for any DV_THREADS / DV_SIMD / DV_CACHE setting.
@@ -56,7 +56,9 @@ struct bank_snapshot_header {
 
 /// Reads and checks the header shared by validator_bank_view::from_snapshot
 /// and deep_validator::load_snapshot. Throws serialize_error on a missing,
-/// unsupported or inconsistent header or on bad bank settings.
+/// unsupported or inconsistent header, on bad bank settings, or when any
+/// f32/f64 section of the bank (support vectors, alpha, gamma/rho, scaler
+/// rows, weighted weights, threshold) holds a NaN or an infinity.
 bank_snapshot_header read_bank_header(const snapshot_view& snap);
 
 /// Read-only weighted-joint combiner: the linear decision w^T x + b over
@@ -89,7 +91,7 @@ class weighted_joint_view {
 
 /// Read-only scoring surface over one fitted validator bank; see the file
 /// comment for the ownership model. Valid while the storage owner is
-/// alive: for snapshot-backed banks the view keeps the mapping alive via
+/// alive: for snapshot-backed banks the view keeps the snapshot alive via
 /// shared_ptr, for builder-backed banks the deep_validator must outlive
 /// the view.
 class validator_bank_view {
@@ -102,9 +104,9 @@ class validator_bank_view {
                       std::shared_ptr<const snapshot_view> snap = nullptr);
 
   /// Zero-copy bank over a validated snapshot: the support-vector
-  /// matrices, scaler rows, and weights stay inside the mapping, which
-  /// the returned bank keeps alive. Throws serialize_error on any
-  /// missing or inconsistent section.
+  /// matrices, scaler rows, and weights stay inside the snapshot image,
+  /// which the returned bank keeps alive. Throws serialize_error on any
+  /// missing, inconsistent or non-finite section.
   static validator_bank_view from_snapshot(
       std::shared_ptr<const snapshot_view> snap);
 
@@ -151,7 +153,7 @@ class validator_bank_view {
   batch_config batch_{};
   double threshold_{0.0};
   weighted_joint_view weighted_;
-  /// Keeps the mapped file alive for snapshot-backed banks.
+  /// Keeps the snapshot image alive for snapshot-backed banks.
   std::shared_ptr<const snapshot_view> snap_;
 };
 

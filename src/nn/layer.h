@@ -20,9 +20,6 @@
 
 namespace dv {
 
-class binary_reader;
-class binary_writer;
-
 /// Non-owning handle to one trainable parameter and its gradient buffer.
 struct param_ref {
   tensor* value{};

@@ -1,11 +1,15 @@
 #include "nn/model.h"
 
+#include <algorithm>
 #include <cstring>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "tensor/ops.h"
+#include "util/flat_snapshot.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
 
@@ -13,7 +17,8 @@ namespace dv {
 
 namespace {
 
-constexpr const char* k_model_magic = "dv-model-v1";
+/// Version of the model/ sections written by save_params.
+constexpr std::int64_t k_model_format = 1;
 
 /// Copies the rows of `part` into `whole` starting at row `first_row`.
 void copy_rows(const tensor& part, tensor& whole, std::int64_t first_row) {
@@ -151,40 +156,64 @@ std::string sequential::describe() const {
 }
 
 void sequential::save_params(const std::string& path) const {
-  binary_writer w{path, k_model_magic};
   auto& self = const_cast<sequential&>(*this);
   const auto ps = self.params();
-  w.write_u64(ps.size());
-  for (const auto& p : ps) p.value->save(w);
   const auto st = self.state();
-  w.write_u64(st.size());
-  for (const auto* t : st) t->save(w);
-  w.finish();
+  snapshot_writer w;
+  w.add_i64_scalar("model/format", k_model_format);
+  const std::int64_t counts[2] = {static_cast<std::int64_t>(ps.size()),
+                                  static_cast<std::int64_t>(st.size())};
+  w.add_i64("model/counts", counts);
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    ps[i].value->save_snapshot(w, "model/p" + std::to_string(i) + "/");
+  }
+  for (std::size_t i = 0; i < st.size(); ++i) {
+    st[i]->save_snapshot(w, "model/s" + std::to_string(i) + "/");
+  }
+  w.finish(path);
 }
 
 void sequential::load_params(const std::string& path) {
-  binary_reader r{path, k_model_magic};
+  const auto snap = snapshot_view::open(path);
+  if (!snap->has("model/format") ||
+      snap->i64_scalar("model/format") != k_model_format) {
+    throw serialize_error{"model load: " + path + " is not a model snapshot"};
+  }
+  const auto counts = snap->i64("model/counts");
   const auto ps = params();
-  if (r.read_u64() != ps.size()) {
+  const auto st = state();
+  if (counts.size() != 2 ||
+      counts[0] != static_cast<std::int64_t>(ps.size())) {
     throw serialize_error{"model load: parameter count mismatch"};
   }
-  for (const auto& p : ps) {
-    tensor t = tensor::load(r);
-    if (t.shape() != p.value->shape()) {
-      throw serialize_error{"model load: shape mismatch for " + p.name};
-    }
-    *p.value = std::move(t);
-  }
-  const auto st = state();
-  if (r.read_u64() != st.size()) {
+  if (counts[1] != static_cast<std::int64_t>(st.size())) {
     throw serialize_error{"model load: state count mismatch"};
   }
-  for (auto* dst : st) {
-    tensor t = tensor::load(r);
-    if (t.shape() != dst->shape()) {
-      throw serialize_error{"model load: state shape mismatch"};
+  // Check every tensor before copying any, so a bad file leaves the model
+  // as it was. Shapes match, so the values copy into the existing storage:
+  // reallocating the parameters here shifted the allocator's state enough
+  // to slow later forward passes by up to 15% (perfbench offline_audit).
+  std::vector<std::pair<tensor*, std::span<const float>>> copies;
+  const auto check = [&](tensor& dst, const std::string& prefix,
+                         const std::string& what) {
+    const auto shape = snap->i64(prefix + "shape");
+    const auto data = snap->f32(prefix + "data");
+    if (!std::equal(shape.begin(), shape.end(), dst.shape().begin(),
+                    dst.shape().end()) ||
+        data.size() != static_cast<std::size_t>(dst.numel())) {
+      throw serialize_error{"model load: shape mismatch for " + what};
     }
-    *dst = std::move(t);
+    copies.emplace_back(&dst, data);
+  };
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    check(*ps[i].value, "model/p" + std::to_string(i) + "/", ps[i].name);
+  }
+  for (std::size_t i = 0; i < st.size(); ++i) {
+    check(*st[i], "model/s" + std::to_string(i) + "/",
+          "state " + std::to_string(i));
+  }
+  for (const auto& [dst, data] : copies) {
+    std::copy(data.begin(), data.end(), dst->data());
   }
 }
 

@@ -83,10 +83,13 @@ class sequential {
   /// Multi-line architecture summary (used to print Table II).
   std::string describe() const;
 
-  /// Saves parameters + state to `path`; the architecture itself is rebuilt
-  /// in code by the caller before loading.
+  /// Saves parameters + state to `path` as a flat snapshot
+  /// (docs/SNAPSHOTS.md); the architecture itself is rebuilt in code by
+  /// the caller before loading.
   void save_params(const std::string& path) const;
-  /// Loads parameters + state; throws serialize_error on shape mismatch.
+  /// Loads parameters + state; throws serialize_error on a file that is
+  /// not a model snapshot, a count or shape mismatch, or corruption, and
+  /// then leaves the model unchanged.
   void load_params(const std::string& path);
 
  private:

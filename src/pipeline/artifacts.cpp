@@ -1,8 +1,5 @@
 #include "pipeline/artifacts.h"
 
-#include <map>
-#include <mutex>
-
 #include "pipeline/models.h"
 
 #include "util/logging.h"
@@ -14,40 +11,7 @@ namespace dv {
 namespace {
 std::string model_path(const experiment_config& config) {
   return artifact_directory() + "/model-" +
-         dataset_kind_name(config.data.kind) + ".bin";
-}
-
-std::string validator_stem(const experiment_config& config,
-                           const std::string& tag) {
-  return artifact_directory() + "/validator-" +
-         dataset_kind_name(config.data.kind) + "-" + tag;
-}
-
-/// Ensures the `.dvsnap` artifact for (config, tag) exists: prefers an
-/// existing snapshot, upgrades a legacy `.bin` in place, and otherwise
-/// fits from scratch. Returns the snapshot path.
-std::string ensure_validator_snapshot(const experiment_config& config,
-                                      sequential& model, const dataset& train,
-                                      const std::string& tag) {
-  const std::string stem = validator_stem(config, tag);
-  const std::string snap_path = stem + ".dvsnap";
-  const std::string legacy_path = stem + ".bin";
-  if (file_exists(snap_path)) {
-    return snap_path;
-  }
-  if (file_exists(legacy_path)) {
-    // Legacy-reader shim: upgrade the old binary artifact to a snapshot
-    // once; subsequent runs mmap the snapshot directly.
-    log_info() << "upgrading legacy validator artifact " << legacy_path
-               << " to " << snap_path;
-    deep_validator::load(legacy_path).save_snapshot(snap_path);
-    return snap_path;
-  }
-  deep_validator dv;
-  dv.fit(model, train, config.validator);
-  dv.save_snapshot(snap_path);
-  log_info() << "saved validator snapshot to " << snap_path;
-  return snap_path;
+         dataset_kind_name(config.data.kind) + ".dvsnap";
 }
 }  // namespace
 
@@ -80,42 +44,20 @@ model_bundle load_or_train(const experiment_config& config) {
   return out;
 }
 
-std::shared_ptr<const snapshot_view> open_shared_snapshot(
-    const std::string& path) {
-  // Process-wide mapping dedup: benches that refit/load the same bank in
-  // one process share a single validated mapping instead of re-reading
-  // the file per load. Expired entries (all banks dropped) re-open.
-  // dv-lint: allow(thread-safety) the lock itself; guards the registry map
-  static std::mutex mutex;
-  // dv-lint: allow(thread-safety) guarded by the mutex above
-  static std::map<std::string, std::weak_ptr<const snapshot_view>>* registry =
-      new std::map<std::string, std::weak_ptr<const snapshot_view>>;
-  std::lock_guard<std::mutex> lock{mutex};
-  auto& slot = (*registry)[path];
-  if (auto live = slot.lock()) {
-    return live;
-  }
-  auto view = snapshot_view::open(path);
-  slot = view;
-  return view;
-}
-
 deep_validator load_or_fit_validator(const experiment_config& config,
                                      sequential& model, const dataset& train,
                                      const std::string& tag) {
-  const std::string snap_path =
-      ensure_validator_snapshot(config, model, train, tag);
-  log_info() << "loading validator from " << snap_path;
-  return deep_validator::load_snapshot(snap_path);
-}
-
-validator_bank_view load_or_fit_bank(const experiment_config& config,
-                                     sequential& model, const dataset& train,
-                                     const std::string& tag) {
-  const std::string snap_path =
-      ensure_validator_snapshot(config, model, train, tag);
-  log_info() << "mapping validator bank from " << snap_path;
-  return validator_bank_view::from_snapshot(open_shared_snapshot(snap_path));
+  const std::string path = artifact_directory() + "/validator-" +
+                           dataset_kind_name(config.data.kind) + "-" + tag +
+                           ".dvsnap";
+  if (!file_exists(path)) {
+    deep_validator dv;
+    dv.fit(model, train, config.validator);
+    dv.save_snapshot(path);
+    log_info() << "saved validator snapshot to " << path;
+  }
+  log_info() << "loading validator from " << path;
+  return deep_validator::load_snapshot(path);
 }
 
 }  // namespace dv

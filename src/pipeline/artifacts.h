@@ -5,19 +5,16 @@
 // first binary to need an artifact trains and saves it and the rest load it.
 // Delete the artifact directory to force a full re-run.
 //
-// Validator artifacts are stored in the flat snapshot format
-// (docs/SNAPSHOTS.md, `validator-<kind>-<tag>.dvsnap`). A legacy-reader
-// shim accepts the old `binary_reader` format (`.bin`): when only the old
-// file exists it is loaded once and re-saved as a snapshot, so existing
-// artifact directories upgrade in place. Snapshot mappings are shared
-// per process — concurrent benches loading the same bank map the file
-// once instead of re-reading it per load (the per-bench refit I/O dedup).
+// Every artifact is a flat snapshot (docs/SNAPSHOTS.md):
+// `model-<kind>.dvsnap`, `validator-<kind>-<tag>.dvsnap` and, from
+// pipeline/corner_suite.h, `corners-<kind>.dvsnap`. Files of an older
+// format under other names are ignored, so a stale cache is recomputed
+// instead of misread.
 #pragma once
 
 #include <memory>
 
 #include "core/deep_validator.h"
-#include "core/validator_bank.h"
 #include "nn/model.h"
 #include "pipeline/config.h"
 
@@ -38,25 +35,10 @@ model_bundle load_or_train(const experiment_config& config);
 /// Loads the fitted Deep Validation bank from the cache, fitting (and
 /// saving) it if absent. `tag` distinguishes non-standard configurations
 /// (e.g. ablations); the default tag matches standard_config. Returns a
-/// mutable builder (materialized from the snapshot); for zero-copy
-/// serving use load_or_fit_bank.
+/// mutable builder materialized from the snapshot; for zero-copy serving
+/// open the same file with validator_bank_view::from_snapshot.
 deep_validator load_or_fit_validator(const experiment_config& config,
                                      sequential& model, const dataset& train,
                                      const std::string& tag = "std");
-
-/// Zero-copy variant: ensures the snapshot artifact exists (fitting or
-/// upgrading a legacy artifact if needed) and returns a bank view scoring
-/// directly out of the mapped file — no per-load allocation of the
-/// support-vector matrices. The mapping is shared process-wide: two
-/// callers loading the same path get the same snapshot_view.
-validator_bank_view load_or_fit_bank(const experiment_config& config,
-                                     sequential& model, const dataset& train,
-                                     const std::string& tag = "std");
-
-/// Opens `path` as a shared snapshot mapping: one snapshot_view per file
-/// per process (a strong-hash-validated mmap both callers share). Used by
-/// load_or_fit_bank and the cold-start bench.
-std::shared_ptr<const snapshot_view> open_shared_snapshot(
-    const std::string& path);
 
 }  // namespace dv

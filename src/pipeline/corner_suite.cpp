@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "util/flat_snapshot.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/serialize.h"
@@ -11,46 +12,67 @@
 namespace dv {
 
 namespace {
-constexpr const char* k_suite_magic = "dv-corner-suite-v1";
+/// Version of the suite/ sections written by corner_suite::save.
+constexpr std::int64_t k_suite_format = 1;
 
-void save_dataset(binary_writer& w, const dataset& d) {
-  d.images.save(w);
-  w.write_i64_vector(d.labels);
-  w.write_i32(d.num_classes);
-  w.write_string(d.name);
+void save_dataset(snapshot_writer& w, const std::string& prefix,
+                  const dataset& d) {
+  d.images.save_snapshot(w, prefix + "images/");
+  w.add_i64(prefix + "labels", d.labels);
+  w.add_i64_scalar(prefix + "num_classes", d.num_classes);
+  w.add_bytes(prefix + "name", d.name.data(), d.name.size());
 }
 
-dataset load_dataset(binary_reader& r) {
+std::string load_string(const snapshot_view& snap, const std::string& name) {
+  const auto bytes = snap.bytes(name);
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+dataset load_dataset(const snapshot_view& snap, const std::string& prefix) {
   dataset d;
-  d.images = tensor::load(r);
-  d.labels = r.read_i64_vector();
-  d.num_classes = r.read_i32();
-  d.name = r.read_string();
+  d.images = tensor::load_snapshot(snap, prefix + "images/");
+  const auto labels = snap.i64(prefix + "labels");
+  d.labels.assign(labels.begin(), labels.end());
+  d.num_classes = static_cast<int>(snap.i64_scalar(prefix + "num_classes"));
+  d.name = load_string(snap, prefix + "name");
+  if (static_cast<std::int64_t>(d.labels.size()) != d.size()) {
+    throw serialize_error{"corner suite: label count mismatch in " + prefix};
+  }
   return d;
 }
 
-void save_chain(binary_writer& w, const transform_chain& chain) {
-  w.write_u64(chain.size());
+void save_chain(snapshot_writer& w, const std::string& prefix,
+                const transform_chain& chain) {
+  std::vector<std::int64_t> kinds;
+  std::vector<float> params;
   for (const auto& step : chain) {
-    w.write_u8(static_cast<std::uint8_t>(step.kind));
-    w.write_f32(step.p1);
-    w.write_f32(step.p2);
+    kinds.push_back(static_cast<std::int64_t>(step.kind));
+    params.push_back(step.p1);
+    params.push_back(step.p2);
   }
+  w.add_i64(prefix + "chain_kinds", kinds);
+  w.add_f32(prefix + "chain_params", params);
 }
 
-transform_chain load_chain(binary_reader& r) {
-  transform_chain chain(r.read_u64());
-  for (auto& step : chain) {
-    step.kind = static_cast<transform_kind>(r.read_u8());
-    step.p1 = r.read_f32();
-    step.p2 = r.read_f32();
+transform_chain load_chain(const snapshot_view& snap,
+                           const std::string& prefix) {
+  const auto kinds = snap.i64(prefix + "chain_kinds");
+  const auto params = snap.f32(prefix + "chain_params");
+  if (params.size() != 2 * kinds.size()) {
+    throw serialize_error{"corner suite: bad transform chain in " + prefix};
+  }
+  transform_chain chain(kinds.size());
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    chain[i].kind = static_cast<transform_kind>(kinds[i]);
+    chain[i].p1 = params[2 * i];
+    chain[i].p2 = params[2 * i + 1];
   }
   return chain;
 }
 
 std::string suite_path(const experiment_config& config) {
   return artifact_directory() + "/corners-" +
-         dataset_kind_name(config.data.kind) + ".bin";
+         dataset_kind_name(config.data.kind) + ".dvsnap";
 }
 }  // namespace
 
@@ -105,41 +127,61 @@ int corner_suite::usable_count() const {
 }
 
 void corner_suite::save(const std::string& path) const {
-  binary_writer w{path, k_suite_magic};
-  save_dataset(w, seeds);
-  w.write_u64(entries.size());
-  for (const auto& e : entries) {
-    w.write_u8(static_cast<std::uint8_t>(e.kind));
-    w.write_u8(e.combined ? 1 : 0);
-    w.write_u8(e.usable ? 1 : 0);
-    save_chain(w, e.chain);
-    w.write_f64(e.success_rate);
-    w.write_f64(e.mean_confidence);
-    w.write_string(e.range_description);
-    save_dataset(w, e.cases);
-    w.write_u64(e.misclassified.size());
-    for (const auto m : e.misclassified) w.write_u8(m);
+  snapshot_writer w;
+  w.add_i64_scalar("suite/format", k_suite_format);
+  w.add_i64_scalar("suite/entries", static_cast<std::int64_t>(entries.size()));
+  save_dataset(w, "seeds/", seeds);
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    const corner_entry& e = entries[k];
+    const std::string prefix = "e" + std::to_string(k) + "/";
+    const std::int64_t meta_i[3] = {static_cast<std::int64_t>(e.kind),
+                                    e.combined ? 1 : 0, e.usable ? 1 : 0};
+    const double meta_f[2] = {e.success_rate, e.mean_confidence};
+    w.add_i64(prefix + "meta_i", meta_i);
+    w.add_f64(prefix + "meta_f", meta_f);
+    save_chain(w, prefix, e.chain);
+    w.add_bytes(prefix + "range", e.range_description.data(),
+                e.range_description.size());
+    save_dataset(w, prefix + "cases/", e.cases);
+    w.add_bytes(prefix + "misclassified", e.misclassified.data(),
+                e.misclassified.size());
   }
-  w.finish();
+  w.finish(path);
 }
 
 corner_suite corner_suite::load(const std::string& path) {
-  binary_reader r{path, k_suite_magic};
+  const auto snap = snapshot_view::open(path);
+  if (!snap->has("suite/format") ||
+      snap->i64_scalar("suite/format") != k_suite_format) {
+    throw serialize_error{"corner suite: " + path +
+                          " is not a corner-suite snapshot"};
+  }
+  const std::int64_t count = snap->i64_scalar("suite/entries");
+  if (count < 0) throw serialize_error{"corner suite: bad entry count"};
   corner_suite out;
-  out.seeds = load_dataset(r);
-  const auto n = r.read_u64();
-  out.entries.resize(n);
-  for (auto& e : out.entries) {
-    e.kind = static_cast<transform_kind>(r.read_u8());
-    e.combined = r.read_u8() != 0;
-    e.usable = r.read_u8() != 0;
-    e.chain = load_chain(r);
-    e.success_rate = r.read_f64();
-    e.mean_confidence = r.read_f64();
-    e.range_description = r.read_string();
-    e.cases = load_dataset(r);
-    e.misclassified.resize(r.read_u64());
-    for (auto& m : e.misclassified) m = r.read_u8();
+  out.seeds = load_dataset(*snap, "seeds/");
+  out.entries.resize(static_cast<std::size_t>(count));
+  for (std::size_t k = 0; k < out.entries.size(); ++k) {
+    corner_entry& e = out.entries[k];
+    const std::string prefix = "e" + std::to_string(k) + "/";
+    const auto meta_i = snap->i64(prefix + "meta_i");
+    const auto meta_f = snap->f64(prefix + "meta_f");
+    if (meta_i.size() != 3 || meta_f.size() != 2) {
+      throw serialize_error{"corner suite: bad metadata in " + prefix};
+    }
+    e.kind = static_cast<transform_kind>(meta_i[0]);
+    e.combined = meta_i[1] != 0;
+    e.usable = meta_i[2] != 0;
+    e.success_rate = meta_f[0];
+    e.mean_confidence = meta_f[1];
+    e.chain = load_chain(*snap, prefix);
+    e.range_description = load_string(*snap, prefix + "range");
+    e.cases = load_dataset(*snap, prefix + "cases/");
+    const auto flags = snap->bytes(prefix + "misclassified");
+    e.misclassified.assign(flags.begin(), flags.end());
+    if (static_cast<std::int64_t>(e.misclassified.size()) != e.cases.size()) {
+      throw serialize_error{"corner suite: flag count mismatch in " + prefix};
+    }
   }
   return out;
 }

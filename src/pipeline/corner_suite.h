@@ -44,7 +44,11 @@ struct corner_suite {
   /// Number of usable transformation settings.
   int usable_count() const;
 
+  /// Writes the suite as a flat snapshot (docs/SNAPSHOTS.md).
   void save(const std::string& path) const;
+  /// Reads a suite written by save(); throws serialize_error on a file
+  /// that is not a corner-suite snapshot, an inconsistent entry, or
+  /// corruption.
   static corner_suite load(const std::string& path);
 };
 

@@ -6,7 +6,7 @@
 // validator_bank_view::from_snapshot over a freshly written snapshot)
 // by swapping one shared_ptr — no locks held across scoring, no queue
 // drain: a batch that already loaded the old bank finishes on it (the
-// shared_ptr keeps the old mapping alive), and the next batch picks up
+// shared_ptr keeps the old snapshot alive), and the next batch picks up
 // the new generation. Swap latency is therefore bounded by one batch,
 // never by the queue depth.
 //
@@ -44,7 +44,7 @@ class engine_handle {
   std::uint64_t publish(validator_bank_view bank);
 
   /// The current published bank, or nullptr before the first publish().
-  /// The returned shared_ptr pins the bank (and its snapshot mapping)
+  /// The returned shared_ptr pins the bank (and its snapshot image)
   /// for as long as the caller holds it.
   std::shared_ptr<const published_bank> current() const;
 

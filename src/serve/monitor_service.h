@@ -2,9 +2,13 @@
 //
 // Frames submitted here are micro-batched, scored with one shared
 // activation extraction per batch, and folded into the monitor's
-// hysteresis state machine in FIFO order on the worker thread. Verdicts
-// are bitwise identical to calling runtime_monitor::observe per frame in
-// the same order, for any max_batch and any DV_THREADS (ctest-enforced).
+// hysteresis state machine in FIFO order on the worker thread. Each frame
+// is judged by the scorer's verdict (scoring_result::invalid) and carries
+// its bank generation, so with an engine_scorer a newly published
+// threshold takes effect with its generation. Over the monitor's own
+// validator, verdicts are bitwise identical to calling
+// runtime_monitor::observe per frame in the same order, for any max_batch
+// and any DV_THREADS (ctest-enforced).
 //
 // caller_runs overflow is forbidden: it would apply a late frame's
 // hysteresis update ahead of queued earlier frames. Use block (lossless)

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/flat_snapshot.h"
 #include "util/serialize.h"
 
 namespace dv {
@@ -216,18 +217,30 @@ float tensor::norm1() const {
   return static_cast<float>(acc);
 }
 
-void tensor::save(binary_writer& w) const {
-  w.write_i64_vector(shape_);
-  w.write_f32_vector(data_);
+void tensor::save_snapshot(snapshot_writer& w,
+                           const std::string& prefix) const {
+  w.add_i64(prefix + "shape", shape_);
+  w.add_f32(prefix + "data", data_);
 }
 
-tensor tensor::load(binary_reader& r) {
-  tensor t;
-  t.shape_ = r.read_i64_vector();
-  t.data_ = r.read_f32_vector();
-  if (static_cast<std::size_t>(shape_numel(t.shape_)) != t.data_.size()) {
-    throw serialize_error{"tensor::load: shape/data mismatch"};
+tensor tensor::load_snapshot(const snapshot_view& snap,
+                             const std::string& prefix) {
+  const auto shape = snap.i64(prefix + "shape");
+  const auto data = snap.f32(prefix + "data");
+  // Each extent is checked against the element count before multiplying,
+  // so a corrupt shape cannot overflow the product.
+  std::size_t numel = shape.empty() ? 0 : 1;
+  bool ok = true;
+  for (const std::int64_t e : shape) {
+    ok = ok && e > 0 && numel <= data.size() / static_cast<std::size_t>(e);
+    if (ok) numel *= static_cast<std::size_t>(e);
   }
+  if (!ok || numel != data.size()) {
+    throw serialize_error{"tensor '" + prefix + "': shape/data mismatch"};
+  }
+  tensor t;
+  t.shape_.assign(shape.begin(), shape.end());
+  t.data_.assign(data.begin(), data.end());
   return t;
 }
 

@@ -17,8 +17,8 @@
 
 namespace dv {
 
-class binary_reader;
-class binary_writer;
+class snapshot_view;
+class snapshot_writer;
 
 class tensor {
  public:
@@ -144,8 +144,12 @@ class tensor {
 
   // -- Serialization --------------------------------------------------------------
 
-  void save(binary_writer& w) const;
-  static tensor load(binary_reader& r);
+  /// Writes the tensor as snapshot sections `prefix` + {shape, data}.
+  void save_snapshot(snapshot_writer& w, const std::string& prefix) const;
+  /// Reads the sections written by save_snapshot; throws serialize_error
+  /// when the shape and the data disagree.
+  static tensor load_snapshot(const snapshot_view& snap,
+                              const std::string& prefix);
 
   /// Human-readable shape like "[64, 3, 32, 32]".
   std::string shape_string() const;

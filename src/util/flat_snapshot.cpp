@@ -1,24 +1,17 @@
 #include "util/flat_snapshot.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
 #include "util/logging.h"
 #include "util/metrics.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#define DV_SNAPSHOT_HAVE_MMAP 1
-#else
-#define DV_SNAPSHOT_HAVE_MMAP 0
-#endif
+#include "util/serialize.h"
 
 namespace dv {
 
@@ -31,30 +24,13 @@ constexpr std::size_t k_header_size = 8 + 4 + 4 + 8 + 8;
 constexpr std::size_t k_footer_size = 8 + 8 + 8;
 constexpr std::size_t k_payload_align = 64;
 
-/// Whether snapshot_view::open maps files (default) or buffers them
-/// (DV_SNAPSHOT_MMAP=off|0|false). Latched once, overridable in-process.
-struct snapshot_config {
-  std::atomic<bool> use_mmap{true};
-
-  // dv:init(constructed once for the process-wide config singleton)
-  snapshot_config() {
-    if (const char* raw = std::getenv("DV_SNAPSHOT_MMAP")) {
-      if (std::strcmp(raw, "off") == 0 || std::strcmp(raw, "0") == 0 ||
-          std::strcmp(raw, "false") == 0) {
-        use_mmap.store(false, std::memory_order_relaxed);
-      }
-    }
-  }
-};
-
-snapshot_config& config() {
-  // Single atomic field; reads and writes are individually ordered.
-  // dv-lint: allow(thread-safety) atomic-field singleton
-  static snapshot_config instance;
-  return instance;
+/// An uninitialized 64-byte-aligned image buffer, freed by ~snapshot_view.
+std::uint8_t* allocate_image(std::size_t size) {
+  return static_cast<std::uint8_t*>(::operator new(
+      std::max<std::size_t>(size, 1), std::align_val_t{k_payload_align}));
 }
 
-/// Live mapped/buffered snapshot bytes across every open view, published
+/// Live snapshot image bytes across every open view, published
 /// as the dv_snapshot_bytes gauge (same survive-reset idiom as the cache
 /// byte totals in strong_lru.cpp).
 std::atomic<std::int64_t>& live_bytes() {
@@ -111,14 +87,6 @@ bool valid_kind(std::uint8_t k) {
 }
 
 }  // namespace
-
-bool snapshot_mmap_enabled() {
-  return config().use_mmap.load(std::memory_order_relaxed);
-}
-
-void set_snapshot_mmap(bool enabled) {
-  config().use_mmap.store(enabled, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // snapshot_writer
@@ -251,55 +219,23 @@ void snapshot_writer::finish(const std::string& path) const {
 std::shared_ptr<const snapshot_view> snapshot_view::open(
     const std::string& path) {
   const std::int64_t start_ns = metrics::now_ns();
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) throw serialize_error{"snapshot: cannot open " + path};
+  struct stat st{};
+  if (::fstat(::fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
+    std::fclose(f);
+    throw serialize_error{"snapshot: not a regular file: " + path};
+  }
   auto view = std::shared_ptr<snapshot_view>(new snapshot_view);
   view->path_ = path;
-#if DV_SNAPSHOT_HAVE_MMAP
-  if (config().use_mmap.load(std::memory_order_relaxed)) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) throw serialize_error{"snapshot: cannot open " + path};
-    struct stat st{};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-      ::close(fd);
-      throw serialize_error{"snapshot: cannot stat " + path};
-    }
-    const auto size = static_cast<std::size_t>(st.st_size);
-    void* base = size > 0
-                     ? ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0)
-                     : nullptr;
-    ::close(fd);
-    if (size > 0 && base == MAP_FAILED) {
-      throw serialize_error{"snapshot: cannot mmap " + path};
-    }
-    view->data_ = static_cast<const std::uint8_t*>(base);
-    view->size_ = size;
-    view->mapped_ = true;
+  view->size_ = static_cast<std::size_t>(st.st_size);
+  view->data_ = allocate_image(view->size_);
+  const std::size_t got = std::fread(view->data_, 1, view->size_, f);
+  std::fclose(f);
+  if (got != view->size_) {
+    throw serialize_error{"snapshot: short read from " + path};
   }
-#endif
-  if (!view->mapped_) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) throw serialize_error{"snapshot: cannot open " + path};
-    std::fseek(f, 0, SEEK_END);
-    const long len = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (len < 0) {
-      std::fclose(f);
-      throw serialize_error{"snapshot: cannot size " + path};
-    }
-    const auto size = static_cast<std::size_t>(len);
-    auto* buffer = static_cast<std::uint8_t*>(
-        ::operator new(std::max<std::size_t>(size, 1),
-                       std::align_val_t{k_payload_align}));
-    const std::size_t got = size > 0 ? std::fread(buffer, 1, size, f) : 0;
-    std::fclose(f);
-    if (got != size) {
-      ::operator delete(buffer, std::align_val_t{k_payload_align});
-      throw serialize_error{"snapshot: short read from " + path};
-    }
-    view->data_ = buffer;
-    view->size_ = size;
-    view->mapped_ = false;
-  }
-  view->parse_and_validate();  // throws; dtor releases the mapping/buffer
+  view->parse_and_validate();  // throws; the dtor frees the buffer
   account_snapshot_bytes(static_cast<std::int64_t>(view->size_));
   if (metrics::enabled()) {
     metrics::observe("dv_snapshot_load_seconds",
@@ -313,13 +249,9 @@ std::shared_ptr<const snapshot_view> snapshot_view::open(
 std::shared_ptr<const snapshot_view> snapshot_view::from_image(
     std::span<const std::uint8_t> image) {
   auto view = std::shared_ptr<snapshot_view>(new snapshot_view);
-  auto* buffer = static_cast<std::uint8_t*>(
-      ::operator new(std::max<std::size_t>(image.size(), 1),
-                     std::align_val_t{k_payload_align}));
-  if (!image.empty()) std::memcpy(buffer, image.data(), image.size());
-  view->data_ = buffer;
   view->size_ = image.size();
-  view->mapped_ = false;
+  view->data_ = allocate_image(view->size_);
+  if (!image.empty()) std::memcpy(view->data_, image.data(), image.size());
   view->parse_and_validate();
   account_snapshot_bytes(static_cast<std::int64_t>(view->size_));
   return view;
@@ -330,17 +262,8 @@ snapshot_view::~snapshot_view() {
   if (parsed_ok_) {
     account_snapshot_bytes(-static_cast<std::int64_t>(size_));
   }
-#if DV_SNAPSHOT_HAVE_MMAP
-  if (mapped_) {
-    if (data_ != nullptr && size_ > 0) {
-      ::munmap(const_cast<std::uint8_t*>(data_), size_);
-    }
-    return;
-  }
-#endif
   if (data_ != nullptr) {
-    ::operator delete(const_cast<std::uint8_t*>(data_),
-                      std::align_val_t{k_payload_align});
+    ::operator delete(data_, std::align_val_t{k_payload_align});
   }
 }
 
@@ -378,7 +301,7 @@ void snapshot_view::parse_and_validate() {
 
   // Digest verified; the toc bytes are trusted to be what the writer
   // produced, but still bounds-check every record so a snapshot written
-  // by a buggy producer cannot index out of the mapping.
+  // by a buggy producer cannot index out of the image.
   sections_.reserve(count);
   std::uint64_t cursor = toc_offset;
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -495,6 +418,22 @@ std::int64_t snapshot_view::i64_scalar(std::string_view name) const {
     corrupt(path_, "section '" + std::string{name} + "' is not a scalar");
   }
   return v[0];
+}
+
+void snapshot_view::require_finite(std::string_view prefix) const {
+  const auto all_finite = [](auto values) {
+    return std::all_of(values.begin(), values.end(),
+                       [](auto v) { return std::isfinite(v); });
+  };
+  for (const section& s : sections_) {
+    if (s.name.compare(0, prefix.size(), prefix) != 0) continue;
+    bool finite = true;
+    if (s.kind == snapshot_section_kind::f32) finite = all_finite(f32(s.name));
+    if (s.kind == snapshot_section_kind::f64) finite = all_finite(f64(s.name));
+    if (!finite) {
+      corrupt(path_, "section '" + s.name + "' holds a non-finite value");
+    }
+  }
 }
 
 }  // namespace dv

@@ -1,11 +1,12 @@
-// Immutable, mmap-able flat snapshot format for trained validator banks
-// (docs/SNAPSHOTS.md, DESIGN.md §16).
+// Immutable flat snapshot format: the one on-disk format of the program
+// (docs/SNAPSHOTS.md, DESIGN.md §16). Model parameters, corner suites and
+// validator banks are all snapshots.
 //
 // One file holds a set of named, length-prefixed sections. Numeric
 // payloads (f32/f64/i32/i64 blobs) start on 64-byte boundaries inside the
-// file, and the mapping base is page-aligned, so a loaded section is
-// directly addressable as a typed span — zero copies, no per-load
-// allocation of the large blobs (support-vector matrices, scaler rows).
+// file, and a view reads the file once into a 64-byte-aligned buffer, so a
+// loaded section is directly addressable as a typed span — no per-section
+// copies of the large blobs (support-vector matrices, scaler rows).
 // The footer carries a 128-bit strong-hash content digest (the same FNV
 // family as util/strong_lru.h) over everything before it, so a flipped
 // byte or a truncated file fails loudly with serialize_error instead of
@@ -20,10 +21,10 @@
 //   footer   u64 digest_hi | u64 digest_lo | magic "DVSNAPE1"
 //
 // The digest covers [0, file_size - footer_size). Writers are in-memory
-// builders; readers map (or, with DV_SNAPSHOT_MMAP=off, read) the file
-// once and hand out spans for the life of the view. A snapshot_view is
-// immutable and internally thread-safe after open; share it via
-// shared_ptr (serve/engine_handle.h publishes banks this way).
+// builders; readers read the file once and hand out spans for the life of
+// the view. A snapshot_view is immutable and internally thread-safe after
+// open; share it via shared_ptr (serve/engine_handle.h publishes banks
+// this way).
 #pragma once
 
 #include <cstddef>
@@ -34,16 +35,9 @@
 #include <string_view>
 #include <vector>
 
-#include "util/serialize.h"
 #include "util/strong_lru.h"
 
 namespace dv {
-
-/// True when snapshot_view::open maps files instead of buffering them.
-/// Seeded from DV_SNAPSHOT_MMAP at startup (off|0|false disables);
-/// overridable in-process for tests and the cold-start bench.
-bool snapshot_mmap_enabled();
-void set_snapshot_mmap(bool enabled);
 
 /// Payload type of one snapshot section. `bytes` is uninterpreted; the
 /// numeric kinds promise element alignment and a size that divides evenly.
@@ -91,14 +85,14 @@ class snapshot_writer {
   std::vector<section> sections_;
 };
 
-/// Read-only view of one snapshot file: the mapping plus a parsed table
-/// of contents. open() validates structure and digest and throws
+/// Read-only view of one snapshot file: the aligned image plus a parsed
+/// table of contents. open() validates structure and digest and throws
 /// serialize_error on any corruption or truncation. Accessors return
-/// spans into the mapping, valid for the life of the view.
+/// spans into the image, valid for the life of the view.
 class snapshot_view {
  public:
-  /// Maps (or reads, see DV_SNAPSHOT_MMAP in README.md) and validates
-  /// `path`. Records dv_snapshot_load_seconds / dv_snapshot_bytes.
+  /// Reads `path` into an aligned buffer and validates it. Records
+  /// dv_snapshot_load_seconds / dv_snapshot_bytes.
   static std::shared_ptr<const snapshot_view> open(const std::string& path);
 
   /// Validates an in-memory image (tests, corruption drills). The view
@@ -119,14 +113,15 @@ class snapshot_view {
   /// One-element section reads; throw serialize_error on size mismatch.
   double f64_scalar(std::string_view name) const;
   std::int64_t i64_scalar(std::string_view name) const;
+  /// Throws serialize_error naming the first f32/f64 section whose name
+  /// starts with `prefix` and that holds a NaN or an infinity.
+  void require_finite(std::string_view prefix) const;
 
   std::size_t section_count() const { return sections_.size(); }
   /// Total bytes of the validated image.
   std::size_t byte_size() const { return size_; }
   /// The footer's content digest.
   strong_hash digest() const { return digest_; }
-  /// True when the image is a file mapping (false: owned heap buffer).
-  bool mapped() const { return mapped_; }
   const std::string& path() const { return path_; }
 
  private:
@@ -144,9 +139,8 @@ class snapshot_view {
                                       snapshot_section_kind kind,
                                       std::size_t elem_size) const;
 
-  const std::uint8_t* data_{nullptr};
+  std::uint8_t* data_{nullptr};  // owned, 64-byte aligned
   std::size_t size_{0};
-  bool mapped_{false};
   bool parsed_ok_{false};
   std::string path_;
   strong_hash digest_{};

@@ -3,156 +3,7 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 
-#include <cstring>
-
 namespace dv {
-
-binary_writer::binary_writer(const std::string& path, const std::string& magic)
-    : out_{path, std::ios::binary}, path_{path} {
-  if (!out_) throw serialize_error{"cannot open for writing: " + path};
-  write_string(magic);
-}
-
-void binary_writer::write_raw(const void* data, std::size_t bytes) {
-  out_.write(static_cast<const char*>(data),
-             static_cast<std::streamsize>(bytes));
-  if (!out_) throw serialize_error{"write failed: " + path_};
-}
-
-void binary_writer::write_u8(std::uint8_t v) { write_raw(&v, sizeof v); }
-void binary_writer::write_i32(std::int32_t v) { write_raw(&v, sizeof v); }
-void binary_writer::write_i64(std::int64_t v) { write_raw(&v, sizeof v); }
-void binary_writer::write_u64(std::uint64_t v) { write_raw(&v, sizeof v); }
-void binary_writer::write_f32(float v) { write_raw(&v, sizeof v); }
-void binary_writer::write_f64(double v) { write_raw(&v, sizeof v); }
-
-void binary_writer::write_string(const std::string& s) {
-  write_u64(s.size());
-  if (!s.empty()) write_raw(s.data(), s.size());
-}
-
-void binary_writer::write_f32_vector(const std::vector<float>& v) {
-  write_u64(v.size());
-  if (!v.empty()) write_raw(v.data(), v.size() * sizeof(float));
-}
-
-void binary_writer::write_f64_vector(const std::vector<double>& v) {
-  write_u64(v.size());
-  if (!v.empty()) write_raw(v.data(), v.size() * sizeof(double));
-}
-
-void binary_writer::write_i64_vector(const std::vector<std::int64_t>& v) {
-  write_u64(v.size());
-  if (!v.empty()) write_raw(v.data(), v.size() * sizeof(std::int64_t));
-}
-
-void binary_writer::write_i32_vector(const std::vector<int>& v) {
-  write_u64(v.size());
-  if (!v.empty()) write_raw(v.data(), v.size() * sizeof(int));
-}
-
-void binary_writer::finish() {
-  out_.flush();
-  if (!out_) throw serialize_error{"flush failed: " + path_};
-  out_.close();
-}
-
-binary_reader::binary_reader(const std::string& path, const std::string& magic)
-    : in_{path, std::ios::binary}, path_{path} {
-  if (!in_) throw serialize_error{"cannot open for reading: " + path};
-  const std::string found = read_string();
-  if (found != magic) {
-    throw serialize_error{"magic mismatch in " + path + ": expected '" + magic +
-                          "', found '" + found + "'"};
-  }
-}
-
-void binary_reader::read_raw(void* data, std::size_t bytes) {
-  in_.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::size_t>(in_.gcount()) != bytes) {
-    throw serialize_error{"truncated artifact: " + path_};
-  }
-}
-
-std::uint8_t binary_reader::read_u8() {
-  std::uint8_t v{};
-  read_raw(&v, sizeof v);
-  return v;
-}
-
-std::int32_t binary_reader::read_i32() {
-  std::int32_t v{};
-  read_raw(&v, sizeof v);
-  return v;
-}
-
-std::int64_t binary_reader::read_i64() {
-  std::int64_t v{};
-  read_raw(&v, sizeof v);
-  return v;
-}
-
-std::uint64_t binary_reader::read_u64() {
-  std::uint64_t v{};
-  read_raw(&v, sizeof v);
-  return v;
-}
-
-float binary_reader::read_f32() {
-  float v{};
-  read_raw(&v, sizeof v);
-  return v;
-}
-
-double binary_reader::read_f64() {
-  double v{};
-  read_raw(&v, sizeof v);
-  return v;
-}
-
-namespace {
-constexpr std::uint64_t k_max_container = 1ULL << 33;  // 8 G elements: sanity.
-}
-
-std::string binary_reader::read_string() {
-  const std::uint64_t n = read_u64();
-  if (n > k_max_container) throw serialize_error{"corrupt string length"};
-  std::string s(n, '\0');
-  if (n > 0) read_raw(s.data(), n);
-  return s;
-}
-
-std::vector<float> binary_reader::read_f32_vector() {
-  const std::uint64_t n = read_u64();
-  if (n > k_max_container) throw serialize_error{"corrupt vector length"};
-  std::vector<float> v(n);
-  if (n > 0) read_raw(v.data(), n * sizeof(float));
-  return v;
-}
-
-std::vector<double> binary_reader::read_f64_vector() {
-  const std::uint64_t n = read_u64();
-  if (n > k_max_container) throw serialize_error{"corrupt vector length"};
-  std::vector<double> v(n);
-  if (n > 0) read_raw(v.data(), n * sizeof(double));
-  return v;
-}
-
-std::vector<std::int64_t> binary_reader::read_i64_vector() {
-  const std::uint64_t n = read_u64();
-  if (n > k_max_container) throw serialize_error{"corrupt vector length"};
-  std::vector<std::int64_t> v(n);
-  if (n > 0) read_raw(v.data(), n * sizeof(std::int64_t));
-  return v;
-}
-
-std::vector<int> binary_reader::read_i32_vector() {
-  const std::uint64_t n = read_u64();
-  if (n > k_max_container) throw serialize_error{"corrupt vector length"};
-  std::vector<int> v(n);
-  if (n > 0) read_raw(v.data(), n * sizeof(int));
-  return v;
-}
 
 bool file_exists(const std::string& path) {
   struct stat st {};

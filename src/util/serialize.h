@@ -1,15 +1,11 @@
-// Binary (de)serialization streams for model and detector artifacts.
-//
-// The format is a simple little-endian byte stream with length-prefixed
-// containers. Each artifact file starts with a caller-chosen magic string so
-// that loading a mismatched artifact fails loudly instead of misparsing.
+// File helpers shared by the artifact writers and readers. Every artifact
+// is a flat snapshot (util/flat_snapshot.h, docs/SNAPSHOTS.md); a file
+// that cannot be read, or that holds the wrong kind of snapshot, raises
+// serialize_error instead of misparsing.
 #pragma once
 
-#include <cstdint>
-#include <fstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace dv {
 
@@ -17,55 +13,6 @@ namespace dv {
 class serialize_error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
-};
-
-class binary_writer {
- public:
-  /// Opens `path` for writing and emits the magic header.
-  binary_writer(const std::string& path, const std::string& magic);
-
-  void write_u8(std::uint8_t v);
-  void write_i32(std::int32_t v);
-  void write_i64(std::int64_t v);
-  void write_u64(std::uint64_t v);
-  void write_f32(float v);
-  void write_f64(double v);
-  void write_string(const std::string& s);
-  void write_f32_vector(const std::vector<float>& v);
-  void write_f64_vector(const std::vector<double>& v);
-  void write_i64_vector(const std::vector<std::int64_t>& v);
-  void write_i32_vector(const std::vector<int>& v);
-
-  /// Flushes and closes; throws on I/O failure.
-  void finish();
-
- private:
-  void write_raw(const void* data, std::size_t bytes);
-  std::ofstream out_;
-  std::string path_;
-};
-
-class binary_reader {
- public:
-  /// Opens `path` and validates the magic header.
-  binary_reader(const std::string& path, const std::string& magic);
-
-  std::uint8_t read_u8();
-  std::int32_t read_i32();
-  std::int64_t read_i64();
-  std::uint64_t read_u64();
-  float read_f32();
-  double read_f64();
-  std::string read_string();
-  std::vector<float> read_f32_vector();
-  std::vector<double> read_f64_vector();
-  std::vector<std::int64_t> read_i64_vector();
-  std::vector<int> read_i32_vector();
-
- private:
-  void read_raw(void* data, std::size_t bytes);
-  std::ifstream in_;
-  std::string path_;
 };
 
 /// True if a regular file exists at `path`.

@@ -7,6 +7,7 @@
 #include "core/feature_scaler.h"
 #include "core/probe_reducer.h"
 #include "test_util.h"
+#include "util/flat_snapshot.h"
 #include "util/serialize.h"
 
 namespace dv {
@@ -118,24 +119,19 @@ TEST(FeatureScaler, RowTransformMatchesMatrix) {
 }
 
 TEST(FeatureScaler, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/scaler_rt.bin";
   rng gen{5};
   tensor features = tensor::randn({10, 4}, gen);
   feature_scaler scaler;
   scaler.fit(features);
-  {
-    binary_writer w{path, "s"};
-    scaler.save(w);
-    w.finish();
-  }
-  binary_reader r{path, "s"};
-  const feature_scaler loaded = feature_scaler::load(r);
+  snapshot_writer w;
+  scaler.save_snapshot(w, "s/");
+  const auto view = snapshot_view::from_image(w.serialize());
+  const feature_scaler loaded = feature_scaler::load_snapshot(*view, "s/");
   std::vector<float> a{features.data(), features.data() + 4};
   std::vector<float> b = a;
   scaler.transform_row(a);
   loaded.transform_row(b);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(a[i], b[i]);
-  std::remove(path.c_str());
 }
 
 TEST(FeatureScaler, UnfittedTransformThrows) {
@@ -287,29 +283,14 @@ TEST(DeepValidator, FitRejectsSettingsThatWouldHang) {
   EXPECT_FALSE(dv.fitted());
 }
 
-TEST(DeepValidator, LegacyLoadRejectsZeroMaxBatch) {
-  const std::string path = ::testing::TempDir() + "/dv_zero_batch.bin";
-  {
-    binary_writer w{path, "dv-validator-v1"};
-    w.write_i32(1);  // spatial
-    w.write_i32(0);  // max_batch
-    w.write_f64(0.5);
-    w.write_i32_vector({0});
-    w.write_u64(0);
-    w.finish();
-  }
-  EXPECT_THROW((void)deep_validator::load(path), serialize_error);
-  std::remove(path.c_str());
-}
-
 TEST(DeepValidator, SaveLoadReproducesScores) {
-  const std::string path = ::testing::TempDir() + "/dv_rt.bin";
+  const std::string path = ::testing::TempDir() + "/dv_rt.dvsnap";
   const auto& world = shared_tiny_world();
   deep_validator dv;
   dv.fit(*world.model, world.train, tiny_dv_config());
   dv.set_threshold(1.25);
-  dv.save(path);
-  const deep_validator loaded = deep_validator::load(path);
+  dv.save_snapshot(path);
+  const deep_validator loaded = deep_validator::load_snapshot(path);
   EXPECT_EQ(loaded.validated_layers(), dv.validated_layers());
   EXPECT_DOUBLE_EQ(loaded.threshold(), 1.25);
   const tensor batch = world.test.images.slice_rows(0, 5);

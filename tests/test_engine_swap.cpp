@@ -3,8 +3,10 @@
 // generation), agreement with the sequential path, and the TSan stress —
 // a publisher races fresh banks against submitters flowing through the
 // micro_batcher, and every verdict must match exactly one published
-// generation's threshold. Run under scripts/run_static_analysis.sh's
-// tsan stage to validate the lock-free publish path.
+// generation's threshold — and monitor_service verdicts, which follow the
+// published bank's threshold and generation rather than the monitor's
+// own. Run under scripts/run_static_analysis.sh's tsan stage to validate
+// the lock-free publish path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,9 +18,11 @@
 #include <vector>
 
 #include "core/deep_validator.h"
+#include "core/monitor.h"
 #include "core/validator_bank.h"
 #include "eval/metrics.h"
 #include "serve/engine_handle.h"
+#include "serve/monitor_service.h"
 #include "serve/scoring_service.h"
 #include "test_util.h"
 #include "util/metrics.h"
@@ -264,6 +268,44 @@ TEST(EngineSwap, StressEveryVerdictMatchesOnePublishedGeneration) {
       last = r.generation;
     }
   }
+  service.shutdown();
+}
+
+// -- monitor_service over a published bank ------------------------------------
+
+TEST(EngineSwap, MonitorVerdictsFollowThePublishedBank) {
+  const auto& dv = fitted_validator();  // the monitor's own ε: 5% FPR
+  const auto& world = shared_tiny_world();
+  const auto clean = dv.evaluate(*world.model, world.test.images).joint;
+  engine_handle handle;
+  engine_scorer scorer{*world.model, handle};
+  runtime_monitor monitor{*world.model, dv};
+  serve_config config;
+  config.batch.max_batch = 8;
+  monitor_service service{scorer, monitor, config};
+
+  // Publishes a bank with ε at `fpr`, streams the test set through the
+  // service, and returns how many verdicts the monitor's own ε would have
+  // decided the other way. Every verdict must follow the published bank.
+  const auto publish_and_stream = [&](double fpr) {
+    const validator_bank_view bank =
+        bank_with_threshold(threshold_for_fpr(clean, fpr));
+    const std::uint64_t generation = handle.publish(bank);
+    std::vector<std::future<monitor_verdict>> futures;
+    for (std::int64_t i = 0; i < world.test.size(); ++i) {
+      futures.push_back(service.submit(world.test.images.sample(i)));
+    }
+    int overruled = 0;
+    for (auto& f : futures) {
+      const monitor_verdict v = f.get();
+      EXPECT_EQ(v.generation, generation);
+      EXPECT_EQ(v.frame_invalid, bank.flags_invalid(v.discrepancy));
+      overruled += v.frame_invalid != dv.flags_invalid(v.discrepancy) ? 1 : 0;
+    }
+    return overruled;
+  };
+  EXPECT_GT(publish_and_stream(0.30), 0);
+  EXPECT_GT(publish_and_stream(0.01), 0);
   service.shutdown();
 }
 

@@ -128,7 +128,7 @@ std::string golden_output(const std::string& scratch) {
       fitted.evaluate(*trained, data.test.images).joint, 0.05));
 
   // Round-trip both halves through their on-disk formats.
-  const std::string model_path = scratch + "model-digits.bin";
+  const std::string model_path = scratch + "model-digits.dvsnap";
   const std::string bank_path = scratch + "bank-digits.dvsnap";
   trained->save_params(model_path);
   fitted.save_snapshot(bank_path);

@@ -94,7 +94,7 @@ TEST(Model, ZeroGradClearsGradients) {
 }
 
 TEST(Model, SaveLoadReproducesOutputs) {
-  const std::string path = ::testing::TempDir() + "/model_rt.bin";
+  const std::string path = ::testing::TempDir() + "/model_rt.dvsnap";
   auto m = small_net(10);
   rng gen{11};
   tensor x = tensor::randn({2, 1, 4, 4}, gen);
@@ -118,13 +118,26 @@ TEST(Model, SaveLoadReproducesOutputs) {
 }
 
 TEST(Model, LoadRejectsMismatchedArchitecture) {
-  const std::string path = ::testing::TempDir() + "/model_bad.bin";
+  const std::string path = ::testing::TempDir() + "/model_bad.dvsnap";
   auto m = small_net(12);
   m->save_params(path);
   rng gen{13};
   sequential other;
   other.add(std::make_unique<dense>(4, 4, gen));
   EXPECT_THROW(other.load_params(path), serialize_error);
+  // Same parameter count with one more class: only the last weight's shape
+  // differs, and the failed load leaves every earlier parameter untouched.
+  sequential wider;
+  wider.add(std::make_unique<conv2d>(1, 2, 3, 1, 1, gen));
+  wider.add(std::make_unique<flatten>());
+  wider.add(std::make_unique<dense>(2 * 4 * 4, 8, gen));
+  wider.add(std::make_unique<dense>(8, 4, gen));
+  const tensor first = *wider.params().front().value;
+  EXPECT_THROW(wider.load_params(path), serialize_error);
+  const tensor& after = *wider.params().front().value;
+  for (std::int64_t i = 0; i < first.numel(); ++i) {
+    EXPECT_EQ(after[i], first[i]);
+  }
   std::remove(path.c_str());
 }
 

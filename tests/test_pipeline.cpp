@@ -42,7 +42,7 @@ TEST(Config, TrainUsesPaperOptimizer) {
 }
 
 TEST(CornerSuite, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/suite_rt.bin";
+  const std::string path = ::testing::TempDir() + "/suite_rt.dvsnap";
   corner_suite suite;
   // Minimal synthetic suite.
   suite.seeds.images = tensor{{2, 1, 4, 4}};
@@ -59,10 +59,24 @@ TEST(CornerSuite, SaveLoadRoundTrip) {
   entry.cases = suite.seeds;
   entry.misclassified = {1, 0};
   suite.entries.push_back(entry);
+  // An unusable combined entry with no chain and no cases.
+  corner_entry empty;
+  empty.combined = true;
+  empty.range_description = "components from single-transform search";
+  suite.entries.push_back(empty);
 
   suite.save(path);
   const corner_suite loaded = corner_suite::load(path);
-  ASSERT_EQ(loaded.entries.size(), 1u);
+  ASSERT_EQ(loaded.entries.size(), 2u);
+  EXPECT_TRUE(loaded.entries[1].combined);
+  EXPECT_FALSE(loaded.entries[1].usable);
+  EXPECT_TRUE(loaded.entries[1].chain.empty());
+  EXPECT_EQ(loaded.entries[1].cases.size(), 0);
+  EXPECT_EQ(loaded.entries[1].range_description, empty.range_description);
+  EXPECT_EQ(loaded.entries[0].cases.images.shape(),
+            suite.seeds.images.shape());
+  EXPECT_EQ(loaded.entries[0].range_description, "1 through 70");
+  EXPECT_EQ(loaded.seeds.name, "seeds");
   EXPECT_EQ(loaded.entries[0].kind, transform_kind::rotation);
   EXPECT_TRUE(loaded.entries[0].usable);
   EXPECT_DOUBLE_EQ(loaded.entries[0].success_rate, 0.625);

@@ -406,7 +406,10 @@ TEST(MonitorService, ResetWithRequestsInFlight) {
     std::vector<scoring_result> score(const tensor& frames) override {
       std::vector<scoring_result> out(
           static_cast<std::size_t>(frames.extent(0)));
-      for (auto& row : out) row.joint = 1e9;
+      for (auto& row : out) {
+        row.joint = 1e9;
+        row.invalid = true;
+      }
       return out;
     }
   };

@@ -1,13 +1,17 @@
 // Tests for the flat snapshot format (docs/SNAPSHOTS.md): writer/view
 // round-trips per section kind, the 64-byte payload alignment promise,
 // the corruption contract (EVERY flipped byte and EVERY truncation length
-// raises serialize_error — never UB), and the bitwise-identity matrix — a
+// raises serialize_error — never UB), fail-closed bank loading (bad
+// settings and non-finite values), and the bitwise-identity matrix — a
 // snapshot-backed validator_bank_view scores byte-identically to the
 // fitted in-memory bank across DV_THREADS x DV_SIMD x DV_CACHE.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,15 +32,13 @@ namespace {
 
 using dv::testing::shared_tiny_world;
 
-/// Restores the process-wide cache/thread/simd/snapshot knobs on exit.
+/// Restores the process-wide cache/thread/simd knobs on exit.
 struct knob_guard {
   bool cache = cache_enabled();
   std::size_t capacity = cache_capacity();
-  bool mmap = snapshot_mmap_enabled();
   ~knob_guard() {
     set_cache_enabled(cache);
     set_cache_capacity(capacity);
-    set_snapshot_mmap(mmap);
     set_thread_count(0);
     reset_simd_level();
   }
@@ -128,7 +130,6 @@ TEST(SnapshotFormat, RoundTripAllKinds) {
   const auto view = snapshot_view::from_image(w.serialize());
   ASSERT_NE(view, nullptr);
   EXPECT_EQ(view->section_count(), 7u);
-  EXPECT_FALSE(view->mapped());
 
   const auto f32s = view->f32("a/f32");
   ASSERT_EQ(f32s.size(), f32v.size());
@@ -187,8 +188,7 @@ TEST(SnapshotFormat, TypedAccessChecksKindAndSize) {
 
 // -- file round trip ----------------------------------------------------------
 
-TEST(SnapshotFile, FinishOpenRoundTripBothIoPaths) {
-  knob_guard guard;
+TEST(SnapshotFile, FinishOpenRoundTrip) {
   snapshot_writer w;
   const std::vector<double> payload{3.5, -1.25, 0.0};
   w.add_f64("p", payload);
@@ -196,27 +196,25 @@ TEST(SnapshotFile, FinishOpenRoundTripBothIoPaths) {
   w.finish(path);
 
   const auto image = w.serialize();
-  for (bool use_mmap : {true, false}) {
-    set_snapshot_mmap(use_mmap);
-    const auto view = snapshot_view::open(path);
-    ASSERT_NE(view, nullptr);
-    EXPECT_EQ(view->mapped(), use_mmap);
-    EXPECT_EQ(view->path(), path);
-    EXPECT_EQ(view->byte_size(), image.size());
-    const auto p = view->f64("p");
-    ASSERT_EQ(p.size(), payload.size());
-    EXPECT_EQ(std::memcmp(p.data(), payload.data(), payload.size() * 8), 0);
-    EXPECT_TRUE(aligned64(p.data()));
-    // Both I/O paths validate the same digest.
-    EXPECT_EQ(view->digest(),
-              snapshot_view::from_image(image)->digest());
-  }
+  const auto view = snapshot_view::open(path);
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view->path(), path);
+  EXPECT_EQ(view->byte_size(), image.size());
+  const auto p = view->f64("p");
+  ASSERT_EQ(p.size(), payload.size());
+  EXPECT_EQ(std::memcmp(p.data(), payload.data(), payload.size() * 8), 0);
+  EXPECT_TRUE(aligned64(p.data()));
+  // A file and its in-memory image validate the same digest.
+  EXPECT_EQ(view->digest(), snapshot_view::from_image(image)->digest());
 }
 
 TEST(SnapshotFile, OpenMissingFileThrows) {
   EXPECT_THROW(
       (void)snapshot_view::open(::testing::TempDir() + "dv-no-such.dvsnap"),
       serialize_error);
+  // A directory is not a snapshot either.
+  EXPECT_THROW((void)snapshot_view::open(::testing::TempDir()),
+               serialize_error);
 }
 
 // -- corruption drill ---------------------------------------------------------
@@ -272,11 +270,11 @@ TEST(SnapshotBank, BitwiseIdentityMatrix) {
         set_simd_level(lvl);
         set_cache_enabled(cache);
         const auto fitted = dv.evaluate(*world.model, frames);
-        const auto mapped = bank.evaluate(*world.model, frames);
+        const auto loaded = bank.evaluate(*world.model, frames);
         SCOPED_TRACE(::testing::Message()
                      << "threads=" << threads << " simd="
                      << simd_level_name(lvl) << " cache=" << cache);
-        expect_identical_scores(fitted, mapped);
+        expect_identical_scores(fitted, loaded);
       }
     }
   }
@@ -292,20 +290,6 @@ TEST(SnapshotBank, MaterializedValidatorMatchesOriginal) {
   const tensor frames = subset_frames(16);
   expect_identical_scores(dv.evaluate(*world.model, frames),
                           loaded.evaluate(*world.model, frames));
-}
-
-TEST(SnapshotBank, LegacyArtifactUpgradesLosslessly) {
-  const auto& dv = fitted_validator();
-  const auto& world = shared_tiny_world();
-  const std::string legacy = ::testing::TempDir() + "dv-legacy-bank.bin";
-  const std::string snap = ::testing::TempDir() + "dv-upgraded-bank.dvsnap";
-  dv.save(legacy);
-  deep_validator::load(legacy).save_snapshot(snap);
-  const auto bank =
-      validator_bank_view::from_snapshot(snapshot_view::open(snap));
-  const tensor frames = subset_frames(16);
-  expect_identical_scores(dv.evaluate(*world.model, frames),
-                          bank.evaluate(*world.model, frames));
 }
 
 TEST(SnapshotBank, EmbeddedWeightedCombinerMatchesFitted) {
@@ -346,42 +330,111 @@ TEST(SnapshotBank, FromSnapshotRejectsNonBankFile) {
                serialize_error);
 }
 
-/// A one-layer bank snapshot whose header says `max_batch`; the layer is a
-/// real fitted validator, so the batch size is the only thing wrong.
-std::string bank_with_max_batch(std::int64_t max_batch) {
-  rng gen{51};
-  const tensor features = tensor::randn({12, 3}, gen);
-  const std::vector<std::int64_t> labels{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1};
-  layer_validator layer;
-  layer.fit(features, labels, 2, {});
+/// A one-layer bank with a weighted combiner, written section by section
+/// in deep_validator::save_snapshot's layout from a real fitted layer. The
+/// header says `max_batch`, and the first value of section `poison` (none
+/// when empty) becomes `value`, so each test changes exactly one thing.
+std::string test_bank(std::int64_t max_batch, const std::string& poison = "",
+                      double value = 0.0) {
+  static const layer_validator layer = [] {
+    rng gen{51};
+    const tensor features = tensor::randn({12, 3}, gen);
+    const std::vector<std::int64_t> labels{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1};
+    layer_validator out;
+    out.fit(features, labels, 2, {});
+    return out;
+  }();
+  const layer_validator_view v = layer.view();
   snapshot_writer w;
+  const auto put_f32 = [&](const std::string& name,
+                           std::span<const float> src) {
+    std::vector<float> copy(src.begin(), src.end());
+    if (name == poison) copy[0] = static_cast<float>(value);
+    w.add_f32(name, copy);
+  };
+  const auto put_f64 = [&](const std::string& name, std::vector<double> copy) {
+    if (name == poison) copy[0] = value;
+    w.add_f64(name, copy);
+  };
   w.add_i64_scalar("bank/format", 1);
   const std::int64_t meta_i[3] = {1, max_batch, 1};
-  const double meta_f[1] = {0.5};
-  const std::int32_t probes[1] = {0};
   w.add_i64("bank/meta_i", meta_i);
-  w.add_f64("bank/meta_f", meta_f);
+  put_f64("bank/meta_f", {0.5});
+  const std::int32_t probes[1] = {0};
   w.add_i32("bank/probes", probes);
-  layer.save_snapshot(w, "bank/L0/");
-  const std::string path = ::testing::TempDir() + "dv-max-batch-" +
-                           std::to_string(max_batch) + ".dvsnap";
+  const std::int64_t classes[1] = {v.num_classes()};
+  w.add_i64("bank/L0/meta_i", classes);
+  put_f32("bank/L0/scaler/mean", v.scaler().mean());
+  put_f32("bank/L0/scaler/istd", v.scaler().inv_std());
+  for (int k = 0; k < v.num_classes(); ++k) {
+    const one_class_svm_view& svm = v.svms()[static_cast<std::size_t>(k)];
+    const std::string prefix = "bank/L0/c" + std::to_string(k) + "/";
+    const std::int64_t svm_meta[4] = {static_cast<std::int64_t>(svm.kernel()),
+                                      svm.iterations_used(),
+                                      svm.support_count(), svm.dimension()};
+    w.add_i64(prefix + "meta_i", svm_meta);
+    put_f64(prefix + "meta_f", {svm.gamma(), svm.rho()});
+    put_f32(prefix + "sv", svm.support_vectors());
+    put_f64(prefix + "alpha", {svm.alpha().begin(), svm.alpha().end()});
+  }
+  put_f64("bank/weighted/weights", {0.75});
+  put_f64("bank/weighted/bias", {-0.25});
+  std::string tag = poison.empty() ? "clean" : poison;
+  std::replace(tag.begin(), tag.end(), '/', '-');
+  const std::string path = ::testing::TempDir() + "dv-bank-" +
+                           std::to_string(max_batch) + "-" + tag + ".dvsnap";
   w.finish(path);
   return path;
 }
 
 TEST(SnapshotBank, BothLoadersRejectZeroMaxBatch) {
-  const std::string bad = bank_with_max_batch(0);
+  const std::string bad = test_bank(0);
   EXPECT_THROW((void)deep_validator::load_snapshot(bad), serialize_error);
   EXPECT_THROW(
       (void)validator_bank_view::from_snapshot(snapshot_view::open(bad)),
       serialize_error);
   // The same bank with a usable batch size loads through both.
-  const std::string good = bank_with_max_batch(1);
+  const std::string good = test_bank(1);
   EXPECT_EQ(deep_validator::load_snapshot(good).batching().max_batch, 1);
   EXPECT_EQ(validator_bank_view::from_snapshot(snapshot_view::open(good))
                 .batching()
                 .max_batch,
             1);
+}
+
+TEST(SnapshotBank, BothLoadersRejectNonFiniteValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* section;
+    double value;
+  } cases[] = {
+      {"bank/L0/c0/sv", nan},          {"bank/L0/c1/alpha", inf},
+      {"bank/meta_f", nan},            {"bank/L0/c0/meta_f", -inf},
+      {"bank/L0/scaler/istd", inf},    {"bank/weighted/weights", nan},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.section);
+    const std::string path = test_bank(1, c.section, c.value);
+    try {
+      (void)deep_validator::load_snapshot(path);
+      ADD_FAILURE() << "deep_validator::load_snapshot accepted the bank";
+    } catch (const serialize_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(c.section), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(
+        (void)validator_bank_view::from_snapshot(snapshot_view::open(path)),
+        serialize_error);
+  }
+  // The unmodified copy loads and scores finite values.
+  const std::string clean = test_bank(1);
+  EXPECT_NO_THROW((void)deep_validator::load_snapshot(clean));
+  const auto bank =
+      validator_bank_view::from_snapshot(snapshot_view::open(clean));
+  ASSERT_TRUE(bank.weighted().valid());
+  const float row[3] = {0.1f, -0.2f, 0.3f};
+  EXPECT_TRUE(std::isfinite(bank.layers()[0].discrepancy(0, row)));
 }
 
 // -- metrics ------------------------------------------------------------------

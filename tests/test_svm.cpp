@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/flat_snapshot.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 
@@ -170,17 +171,13 @@ TEST(OneClassSvm, DimensionMismatchThrows) {
 }
 
 TEST(OneClassSvm, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/svm_rt.bin";
   const tensor blob = make_blob(120, 1, -1, 1.0, 12);
   one_class_svm svm;
   svm.fit(blob, {});
-  {
-    binary_writer w{path, "svm"};
-    svm.save(w);
-    w.finish();
-  }
-  binary_reader r{path, "svm"};
-  const one_class_svm loaded = one_class_svm::load(r);
+  snapshot_writer w;
+  svm.save_snapshot(w, "svm/");
+  const auto view = snapshot_view::from_image(w.serialize());
+  const one_class_svm loaded = one_class_svm::load_snapshot(*view, "svm/");
   EXPECT_EQ(loaded.support_count(), svm.support_count());
   EXPECT_DOUBLE_EQ(loaded.rho(), svm.rho());
   rng gen{13};
@@ -189,7 +186,6 @@ TEST(OneClassSvm, SaveLoadRoundTrip) {
                         static_cast<float>(gen.uniform(-5, 5))};
     EXPECT_NEAR(loaded.decision({x, 2}), svm.decision({x, 2}), 1e-9);
   }
-  std::remove(path.c_str());
 }
 
 class SvmNuSweep : public ::testing::TestWithParam<double> {};

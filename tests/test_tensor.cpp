@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/flat_snapshot.h"
 #include "util/serialize.h"
 
 namespace dv {
@@ -159,20 +160,35 @@ TEST(Tensor, UniformRange) {
   EXPECT_LT(t.max(), 3.0f);
 }
 
-TEST(Tensor, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/tensor_rt.bin";
+TEST(Tensor, SnapshotRoundTrip) {
   rng gen{9};
   const tensor t = tensor::randn({3, 4, 5}, gen);
-  {
-    binary_writer w{path, "t"};
-    t.save(w);
-    w.finish();
-  }
-  binary_reader r{path, "t"};
-  const tensor u = tensor::load(r);
+  snapshot_writer w;
+  t.save_snapshot(w, "t/");
+  tensor{}.save_snapshot(w, "empty/");
+  const auto view = snapshot_view::from_image(w.serialize());
+  const tensor u = tensor::load_snapshot(*view, "t/");
   EXPECT_EQ(u.shape(), t.shape());
   for (std::int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(u[i], t[i]);
-  std::remove(path.c_str());
+  EXPECT_TRUE(tensor::load_snapshot(*view, "empty/").empty());
+}
+
+TEST(Tensor, SnapshotShapeDataMismatchThrows) {
+  const std::vector<float> data(6, 1.0f);
+  const auto load = [&](std::vector<std::int64_t> shape) {
+    snapshot_writer w;
+    w.add_i64("t/shape", shape);
+    w.add_f32("t/data", data);
+    return tensor::load_snapshot(*snapshot_view::from_image(w.serialize()),
+                                 "t/");
+  };
+  EXPECT_EQ(load({2, 3}).shape(), (std::vector<std::int64_t>{2, 3}));
+  EXPECT_THROW((void)load({2, 4}), serialize_error);
+  EXPECT_THROW((void)load({0, 6}), serialize_error);
+  EXPECT_THROW((void)load({-2, -3}), serialize_error);
+  EXPECT_THROW((void)load({}), serialize_error);
+  // Extents whose product overflows must not wrap around to a match.
+  EXPECT_THROW((void)load({6, std::int64_t{1} << 62, 4}), serialize_error);
 }
 
 TEST(Tensor, ShapeString) {
