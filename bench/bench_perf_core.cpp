@@ -7,7 +7,7 @@
 // the parallel runtime alongside the single-threaded kernel numbers;
 // bm_extract_activations records the same curve for a whole-model
 // inference pass. Kernel benchmarks measure the kernel, not a cache: the
-// one variant that measures cache hits has "cached" in its name.
+// variants that measure cache hits have "cached" in their names.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 
 #include "augment/affine.h"
 #include "core/activation_batch.h"
+#include "core/activation_cache.h"
 #include "detect/squeezers.h"
 #include "nn/layers.h"
 #include "pipeline/models.h"
@@ -171,11 +172,22 @@ BENCHMARK(bm_conv_backward_threads)
     ->ArgName("threads")
     ->UseRealTime();
 
+/// Pins the process-wide caching knob (DV_CACHE) for one benchmark run and
+/// restores it after.
+struct cache_arg {
+  explicit cache_arg(bool enabled) : saved{cache_enabled()} {
+    set_cache_enabled(enabled);
+  }
+  ~cache_arg() { set_cache_enabled(saved); }
+  bool saved;
+};
+
 /// extract_activations (sequential::infer plus the activation batch) of a
 /// whole factory model: the street CNN at batch 128 and the objects
-/// DenseNet at batch 32, the batch sizes of a refit and an audit chunk.
-/// Weights are the untrained factory ones; the cost does not depend on
-/// them. Arguments: model (0 street, 1 objects), batch, threads.
+/// DenseNet at batch 32, the batch sizes of a refit and an audit chunk,
+/// and the street CNN at batch 1, a live stream's batch. Weights are the
+/// untrained factory ones; the cost does not depend on them. Arguments:
+/// model (0 street, 1 objects), batch, threads.
 void bm_extract_activations(benchmark::State& state) {
   thread_arg threads{state.range(2)};
   const auto kind =
@@ -191,6 +203,10 @@ void bm_extract_activations(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(1));
 }
 BENCHMARK(bm_extract_activations)
+    ->Args({0, 1, 1})
+    ->Args({0, 1, 2})
+    ->Args({0, 1, 3})
+    ->Args({0, 1, 4})
     ->Args({0, 128, 1})
     ->Args({0, 128, 2})
     ->Args({0, 128, 4})
@@ -199,6 +215,36 @@ BENCHMARK(bm_extract_activations)
     ->Args({1, 32, 4})
     ->ArgNames({"objects", "batch", "threads"})
     ->UseRealTime();
+
+/// What a mostly repeated 32-frame batch pays before the SVMs:
+/// extract_activations_cached over the street CNN with 31 cached frames
+/// and 1 new one, then probe_features of every probe at spatial 1. The
+/// cache holds 32 entries, so each new frame evicts the previous one and
+/// the next new frame misses again.
+void bm_extract_activations_cached(benchmark::State& state) {
+  cache_arg cache_on{true};
+  const std::unique_ptr<sequential> model =
+      make_model(dataset_kind::street, 7);
+  constexpr std::int64_t batch = 32;
+  constexpr std::int64_t fresh_frames = 64;
+  rng gen{14};
+  tensor frames = tensor::uniform({batch, 3, 32, 32}, gen, 0.0f, 1.0f);
+  const tensor fresh =
+      tensor::uniform({fresh_frames, 3, 32, 32}, gen, 0.0f, 1.0f);
+  activation_cache cache{static_cast<std::size_t>(batch), 1};
+  (void)extract_activations_cached(*model, frames, &cache);
+  std::int64_t next = 0;
+  for (auto _ : state) {
+    frames.set_sample(batch - 1, fresh.sample(next++ % fresh_frames));
+    const activation_batch acts =
+        extract_activations_cached(*model, frames, &cache);
+    for (int p = 0; p < acts.probe_count(); ++p) {
+      benchmark::DoNotOptimize(acts.probe_features(p, 1).data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(bm_extract_activations_cached)->UseRealTime();
 
 void bm_kernel_matrix_threads(benchmark::State& state) {
   thread_arg threads{state.range(0)};
@@ -217,16 +263,6 @@ BENCHMARK(bm_kernel_matrix_threads)
     ->Arg(8)
     ->ArgName("threads")
     ->UseRealTime();
-
-/// Pins the process-wide caching knob (DV_CACHE) for one benchmark run and
-/// restores it after.
-struct cache_arg {
-  explicit cache_arg(bool enabled) : saved{cache_enabled()} {
-    set_cache_enabled(enabled);
-  }
-  ~cache_arg() { set_cache_enabled(saved); }
-  bool saved;
-};
 
 /// One-class SVM scoring of the same 256 rows per iteration. Uncached it
 /// measures the RBF decision kernel; cached, every iteration after the

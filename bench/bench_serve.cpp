@@ -5,8 +5,9 @@
 //           full queue and coalesces max_batch frames per evaluate call
 //           (peak-throughput shape);
 //   paced — frames submitted at ~70% of the baseline frame rate, so the
-//           queue stays shallow and the wait histogram shows the
-//           max_delay-bounded coalescing window (steady-state shape).
+//           queue stays shallow and the wait histogram shows how long a
+//           frame waits for the batch in flight; a partial batch is
+//           scored as soon as the worker is free (steady-state shape).
 // Reports per-request p50/p99/max latency, frames/sec, speedup over the
 // baseline, and the worker-side dv_serve_* histograms (mean batch size,
 // mean/p99 queue wait), then writes everything to BENCH_serve.json.
@@ -231,7 +232,6 @@ scenario_result run_scenario(bench_world& w, const deep_validator& validator,
   runtime_monitor monitor{*w.model, validator};
   serve_config cfg;
   cfg.batch.max_batch = max_batch;
-  cfg.max_delay = std::chrono::microseconds{500};
   cfg.queue_capacity = frames.size() + 1;  // burst never blocks on submit
   monitor_service service{*w.model, monitor, cfg};
   const std::size_t n = frames.size();
@@ -306,7 +306,6 @@ dup_result run_duplicate(bench_world& w, const deep_validator& validator,
   runtime_monitor monitor{*w.model, validator};
   serve_config cfg;
   cfg.batch.max_batch = max_batch;
-  cfg.max_delay = std::chrono::microseconds{500};
   cfg.queue_capacity = frames.size() + 1;  // pacing never blocks on submit
   monitor_service service{*w.model, monitor, cfg};
 
@@ -333,7 +332,7 @@ void write_json(const char* path, int n_frames, int dv_threads,
   }
   std::fprintf(f, "{\n  \"bench\": \"bench_serve\",\n");
   std::fprintf(f,
-               "  \"config\": {\"frames\": %d, \"max_delay_us\": 500, "
+               "  \"config\": {\"frames\": %d, "
                "\"dv_threads\": %d, \"dv_simd_dispatch_level\": \"%s\", "
                "\"dv_cache_capacity\": %llu},\n",
                n_frames, dv_threads,
@@ -452,8 +451,8 @@ int main() {
   std::printf("%s", table.render().c_str());
   std::printf(
       "(burst submits all frames up front — per-request latency includes "
-      "queueing;\n paced offers 70%% of the baseline frame rate, so wait is "
-      "bounded by max_delay)\n");
+      "queueing;\n paced offers 70%% of the baseline frame rate, so a frame "
+      "waits only for the batch in flight)\n");
 
   // Duplicate-heavy stream (docs/CACHING.md): every distinct frame
   // repeats DV_BENCH_DUP_REPEAT times in a row, like a near-static

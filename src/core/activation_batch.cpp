@@ -1,6 +1,7 @@
 #include "core/activation_batch.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "core/probe_reducer.h"
 #include "tensor/ops.h"
@@ -8,15 +9,27 @@
 namespace dv {
 
 tensor activation_batch::probe_features(int p, int spatial) const {
-  return reduce_probe(probes[static_cast<std::size_t>(p)], spatial);
+  const tensor& probe = probes[static_cast<std::size_t>(p)];
+  if (reduced_spatial == 0) return reduce_probe(probe, spatial);
+  if (spatial != reduced_spatial) {
+    throw std::logic_error{
+        "activation_batch: probes were reduced at spatial " +
+        std::to_string(reduced_spatial) + ", not " + std::to_string(spatial)};
+  }
+  return probe.reshaped({probe.extent(0), probe.numel() / probe.extent(0)});
 }
 
 tensor activation_batch::last_probe_features() const {
   if (probes.empty()) {
     throw std::logic_error{"activation_batch: model has no probes"};
   }
-  tensor feat = probes.back();
-  return feat.reshape({feat.extent(0), feat.numel() / feat.extent(0)});
+  const tensor& last = probes.back();
+  if (reduced_spatial != 0 && last.dim() != 2) {
+    throw std::logic_error{
+        "activation_batch: the last probe was reduced; its raw activations "
+        "are not held"};
+  }
+  return last.reshaped({last.extent(0), last.numel() / last.extent(0)});
 }
 
 activation_batch extract_activations(const sequential& model, tensor images) {

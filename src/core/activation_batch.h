@@ -5,7 +5,9 @@
 //
 // The probe tensors are the ones sequential::infer returned: owned by the
 // batch, so a served batch can fan out to N consumers that each may run
-// further passes (e.g. feature squeezing).
+// further passes (e.g. feature squeezing). A batch served through the
+// activation cache (core/activation_cache.h) holds its probes already
+// reduced at the cache's one resolution instead.
 #pragma once
 
 #include <cstdint>
@@ -24,23 +26,32 @@ struct activation_batch {
   tensor logits;
   /// argmax of `logits` per row.
   std::vector<std::int64_t> predictions;
-  /// One tensor per probe point, network order.
+  /// One tensor per probe point, network order: raw activations, or the
+  /// reduced features when reduced_spatial > 0.
   std::vector<tensor> probes;
+  /// 0 when `probes` are raw activations. s >= 1 when every probe was
+  /// reduced with reduce_probe(probe, s): a convolutional probe keeps its
+  /// rank as [N, C, s', s'], a dense one stays [N, d].
+  int reduced_spatial{0};
 
   std::int64_t size() const { return logits.extent(0); }
   int probe_count() const { return static_cast<int>(probes.size()); }
 
   /// Reduced features of probe `p` at the given spatial resolution,
-  /// [N, d] (see core/probe_reducer.h).
+  /// [N, d] (see core/probe_reducer.h). A raw batch reduces here; a batch
+  /// reduced at `spatial` returns a copy of its rows; a batch reduced at
+  /// any other resolution throws std::logic_error.
   tensor probe_features(int p, int spatial) const;
   /// Last (penultimate-layer) probe flattened to [N, d] — the feature
-  /// space of the KDE and Mahalanobis detectors.
+  /// space of the KDE and Mahalanobis detectors. Throws std::logic_error
+  /// when the batch no longer holds it: on a reduced batch whose last
+  /// probe was convolutional.
   tensor last_probe_features() const;
 };
 
 /// Runs ONE inference pass (sequential::infer) over `images` ([N,C,H,W]
 /// or a single [C,H,W] frame) and captures logits, predictions, and all
-/// probe activations. The caller is responsible for chunking to its
+/// raw probe activations. The caller is responsible for chunking to its
 /// batch_config. Safe to call from several threads on one model.
 activation_batch extract_activations(const sequential& model, tensor images);
 

@@ -1,8 +1,13 @@
 #include "core/activation_cache.h"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <utility>
+
+#include "core/deep_validator.h"
+#include "core/probe_reducer.h"
 
 namespace dv {
 
@@ -25,12 +30,29 @@ std::vector<std::int64_t> batched_shape(const tensor& frame_slice,
   return shape;
 }
 
+/// reduce_probe that keeps a convolutional probe's rank, [N, C, s', s'],
+/// so a reduced batch still tells dense probes from convolutional ones.
+tensor reduce_keeping_rank(const tensor& probe, int spatial) {
+  tensor out = reduce_probe(probe, spatial);
+  if (probe.dim() == 4) {
+    const std::int64_t s = std::min<std::int64_t>(
+        spatial, std::min(probe.extent(2), probe.extent(3)));
+    out.reshape({probe.extent(0), probe.extent(1), s, s});
+  }
+  return out;
+}
+
 }  // namespace
 
-activation_cache::activation_cache() : activation_cache(cache_capacity()) {}
+activation_cache::activation_cache()
+    : activation_cache(cache_capacity(), deep_validator_config{}.spatial) {}
 
-activation_cache::activation_cache(std::size_t capacity)
-    : lru_{capacity, "activation"} {}
+activation_cache::activation_cache(std::size_t capacity, int spatial)
+    : lru_{capacity, "activation"}, spatial_{spatial} {
+  if (spatial_ < 1) {
+    throw std::invalid_argument{"activation_cache: spatial must be >= 1"};
+  }
+}
 
 activation_batch extract_activations_cached(const sequential& model,
                                             tensor images,
@@ -79,7 +101,9 @@ activation_batch extract_activations_cached(const sequential& model,
     miss_index[static_cast<std::size_t>(i)] = it->second;
   }
 
-  // One forward pass over just the distinct missed rows.
+  // One forward pass over just the distinct missed rows, reduced at the
+  // cache's resolution. The reducer works row by row, so a row reduced
+  // here has the bits it would have inside the full batch.
   activation_batch fresh;
   if (!miss_rows.empty()) {
     std::vector<std::int64_t> shape = images.shape();
@@ -92,10 +116,14 @@ activation_batch extract_activations_cached(const sequential& model,
                   static_cast<std::size_t>(frame_elems) * sizeof(float));
     }
     fresh = extract_activations(model, std::move(miss_images));
+    for (tensor& p : fresh.probes) {
+      p = reduce_keeping_rank(p, cache->spatial());
+    }
   }
 
   // Allocate the output from whichever side knows the shapes.
   activation_batch out;
+  out.reduced_spatial = cache->spatial();
   const cached_frame_activations* shape_source = nullptr;
   for (std::int64_t i = 0; i < n && shape_source == nullptr; ++i) {
     shape_source = hits[static_cast<std::size_t>(i)];

@@ -2,15 +2,17 @@
 // (docs/CACHING.md). Real camera feeds are temporally redundant: a
 // parked car, a static scene, a duplicated keyframe all resubmit the
 // same tensor bytes. The cache keys each frame by the 128-bit strong
-// hash of its raw bytes and stores the full per-frame forward-pass
-// product (logits, prediction, every probe activation), so a repeated
-// frame skips the model entirely.
+// hash of its raw bytes and stores what the validator bank reads of the
+// frame's forward pass (logits, prediction, every probe reduced at the
+// cache's one resolution), so a repeated frame skips the model and the
+// reducer entirely.
 //
-// Transparency: the model's forward pass is batch-invariant (each row's
-// result is independent of which other rows share the batch — DESIGN.md
-// §8), so scoring a sub-batch of cache misses and splicing cached rows
-// back in is bitwise identical to scoring the full batch. Enforced by
-// tests/test_cache.cpp across DV_THREADS × DV_SIMD × cache on/off.
+// Transparency: the model's forward pass and the probe reducer are both
+// batch-invariant (each row's result is independent of which other rows
+// share the batch — DESIGN.md §8), so scoring a sub-batch of cache misses
+// and splicing cached rows back in is bitwise identical to reducing the
+// full batch. Enforced by tests/test_cache.cpp across DV_THREADS ×
+// DV_SIMD × cache on/off.
 #pragma once
 
 #include <cstdint>
@@ -21,22 +23,29 @@
 
 namespace dv {
 
-/// The per-frame slice of an activation_batch, as stored in the cache.
+/// The per-frame row of a reduced activation_batch, as stored in the
+/// cache.
 struct cached_frame_activations {
   std::vector<float> logits;
   std::int64_t prediction{0};
-  /// One [1, ...] tensor per probe layer, network order.
+  /// One reduced [1, ...] row per probe layer, network order.
   std::vector<tensor> probes;
 };
 
-/// Fixed-capacity LRU over cached_frame_activations, labeled
-/// "activation" in the dv_cache_* metric series. Owned by one scorer
-/// and mutated only from its (serialized) scoring path.
+/// Fixed-capacity LRU over cached_frame_activations at one reducer
+/// resolution, labeled "activation" in the dv_cache_* metric series.
+/// Owned by one scorer and mutated only from its (serialized) scoring
+/// path.
 class activation_cache {
  public:
-  /// Capacity defaults to the process-wide DV_CACHE_CAPACITY knob.
+  /// DV_CACHE_CAPACITY entries at the validator's default resolution,
+  /// deep_validator_config::spatial.
   activation_cache();
-  explicit activation_cache(std::size_t capacity);
+  /// `capacity` entries holding probes reduced at `spatial` (>= 1).
+  activation_cache(std::size_t capacity, int spatial);
+
+  /// The resolution every cached probe row is reduced at.
+  int spatial() const { return spatial_; }
 
   strong_lru_cache<cached_frame_activations>& lru() { return lru_; }
   const strong_lru_cache<cached_frame_activations>& lru() const {
@@ -45,12 +54,15 @@ class activation_cache {
 
  private:
   strong_lru_cache<cached_frame_activations> lru_;
+  int spatial_;
 };
 
 /// extract_activations with a frame cache: hashes every row of `images`,
-/// runs the forward pass only over the rows the cache does not hold, and
-/// splices cached rows into the result. With `cache == nullptr` or
-/// caching disabled it is exactly extract_activations.
+/// runs the forward pass and the probe reducer only over the rows the
+/// cache does not hold, and splices cached rows into the result, whose
+/// probes are reduced at cache->spatial() (activation_batch::
+/// reduced_spatial). With `cache == nullptr` or caching disabled it is
+/// exactly extract_activations, raw probes included.
 activation_batch extract_activations_cached(const sequential& model,
                                             tensor images,
                                             activation_cache* cache);

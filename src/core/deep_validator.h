@@ -79,6 +79,8 @@ class deep_validator {
 
   /// Batching configuration captured at fit time.
   const batch_config& batching() const { return batch_; }
+  /// Probe reducer resolution captured at fit time.
+  int spatial() const { return spatial_; }
 
   /// Number of validated layers.
   int validated_layers() const {

@@ -37,6 +37,9 @@ struct monitor_verdict {
   /// Generation of the published bank that judged the frame (0 when the
   /// monitor's own validator did; see serve/engine_handle.h).
   std::uint64_t generation{0};
+  /// The frame held a NaN or an infinity and was folded as invalid
+  /// (scoring_result::nonfinite; set by monitor_service).
+  bool nonfinite{false};
 };
 
 /// One scored frame as produced by the batch path: the joint discrepancy

@@ -3,9 +3,10 @@
 //
 // Producers submit single [C,H,W] frames and get a std::future per frame.
 // A dedicated worker thread drains the bounded request queue in batches —
-// up to serve_config::batch.max_batch frames, or whatever arrived within
-// max_delay of the batch's first frame — stacks them into one [N,C,H,W]
-// tensor, and runs the batch function once. The heavy math inside the
+// whatever is queued when it is free, up to serve_config::batch.max_batch
+// frames, without waiting for more — stacks them into one [N,C,H,W]
+// tensor, and runs the batch function once. Under load, frames pile up
+// while the worker scores, so batches still form. The heavy math inside the
 // batch function fans out on dv::thread_pool (parallel GEMM / per-image
 // scoring); the worker itself is a plain thread because the pool's
 // fork-join parallel_for regions cannot host a blocking queue consumer.
@@ -226,8 +227,8 @@ class micro_batcher {
   // dv:thread-entry(dedicated batch worker thread started by the ctor)
   void worker_loop() {
     std::vector<item> batch;
-    while (queue_.pop_batch(batch, static_cast<std::size_t>(config_.batch.max_batch),
-                            config_.max_delay)) {
+    while (queue_.pop_batch(
+        batch, static_cast<std::size_t>(config_.batch.max_batch))) {
       score_batch(batch);
     }
   }

@@ -39,10 +39,12 @@ std::vector<monitor_verdict> monitor_service::score_and_apply(
   out.reserve(rows.size());
   // FIFO within the batch and across batches (single worker), so the
   // hysteresis updates happen in exact submission order. Each frame keeps
-  // the verdict and generation of the bank that scored it.
+  // the verdict and generation of the bank that scored it; a non-finite
+  // frame arrives invalid, so it counts in the window.
   for (const auto& row : rows) {
     out.push_back(monitor_.apply({row.joint, row.prediction}, row.invalid,
                                  row.generation));
+    out.back().nonfinite = row.nonfinite;
   }
   return out;
 }

@@ -1,10 +1,42 @@
 #include "serve/scoring.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "core/activation_batch.h"
+#include "tensor/ops.h"
+#include "util/metrics.h"
 
 namespace dv {
+
+namespace {
+
+/// Fails closed on frames that hold a NaN or an infinity: their rows
+/// become invalid and nonfinite. A frame is finite exactly when its
+/// double-precision sum is: float magnitudes cannot overflow a double
+/// sum of a frame, and any NaN or infinity poisons it.
+void fail_nonfinite_rows(const tensor& frames,
+                         std::vector<scoring_result>& rows) {
+  if (rows.empty()) return;
+  const auto n = static_cast<std::int64_t>(rows.size());
+  const std::int64_t frame_elems = frames.numel() / n;
+  std::uint64_t flagged = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (std::isfinite(array_sum(frames.data() + i * frame_elems,
+                                frame_elems))) {
+      continue;
+    }
+    auto& row = rows[static_cast<std::size_t>(i)];
+    row.invalid = true;
+    row.nonfinite = true;
+    ++flagged;
+  }
+  if (flagged > 0 && metrics::enabled()) {
+    metrics::count("dv_serve_nonfinite_frames_total", flagged);
+  }
+}
+
+}  // namespace
 
 validator_scorer::validator_scorer(sequential& model,
                                    const deep_validator& validator)
@@ -13,7 +45,8 @@ validator_scorer::validator_scorer(sequential& model,
     throw std::logic_error{"validator_scorer: validator not fitted"};
   }
   if (cache_enabled()) {
-    frame_cache_ = std::make_unique<activation_cache>();
+    frame_cache_ = std::make_unique<activation_cache>(cache_capacity(),
+                                                      validator_.spatial());
   }
 }
 
@@ -63,6 +96,7 @@ std::vector<scoring_result> validator_scorer::score(const tensor& frames) {
       row.has_weighted = true;
     }
   }
+  fail_nonfinite_rows(frames, out);
   return out;
 }
 
@@ -83,6 +117,11 @@ std::vector<scoring_result> engine_scorer::score(const tensor& frames) {
     throw std::logic_error{"engine_scorer: no bank published yet"};
   }
   const validator_bank_view& bank = current->bank;
+  if (frame_cache_ != nullptr && frame_cache_->spatial() != bank.spatial()) {
+    // Cached rows were reduced for a bank that read another resolution.
+    frame_cache_ = std::make_unique<activation_cache>(
+        frame_cache_->lru().capacity(), bank.spatial());
+  }
   const activation_batch acts =
       extract_activations_cached(model_, frames, frame_cache_.get());
   const auto s = bank.evaluate(acts);
@@ -107,6 +146,7 @@ std::vector<scoring_result> engine_scorer::score(const tensor& frames) {
       row.has_weighted = true;
     }
   }
+  fail_nonfinite_rows(frames, out);
   return out;
 }
 

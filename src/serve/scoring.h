@@ -42,8 +42,9 @@ enum class overflow_policy {
 struct serve_config {
   /// Maximum frames coalesced into one evaluate call.
   batch_config batch{};
-  /// How long the worker waits for more frames after the first one of a
-  /// batch arrives before flushing a partial batch.
+  /// No effect: the worker scores whatever is queued as soon as it is
+  /// free, so a partial batch never waits for more frames. Kept so
+  /// existing configurations build; must be >= 0.
   std::chrono::microseconds max_delay{1000};
   /// Bound of the request queue — the backpressure knob.
   std::size_t queue_capacity{256};
@@ -61,8 +62,12 @@ struct scoring_result {
   /// Joint discrepancy d = sum_i d_i (Equation 3).
   double joint{0.0};
   std::int64_t prediction{-1};
-  /// joint > validator threshold epsilon; a NaN joint is invalid too.
+  /// joint > validator threshold epsilon; a NaN joint is invalid too,
+  /// and so is a non-finite frame.
   bool invalid{false};
+  /// The frame held a NaN or an infinity, so the row fails closed:
+  /// invalid whatever its joint (dv_serve_nonfinite_frames_total).
+  bool nonfinite{false};
   /// Per validated layer discrepancy d_i.
   std::vector<double> per_layer;
   /// One score per attached detector, in attachment order.
@@ -102,13 +107,17 @@ class validator_scorer : public batch_scorer {
   void attach_weighted(const weighted_joint_validator& weighted);
   /// Also score each batch with `detector` (must outlive the scorer).
   /// Scores land in scoring_result::detector_scores in attachment order.
+  /// With caching on, the detector sees probes reduced at the validator's
+  /// resolution (activation_batch::reduced_spatial); one that reads
+  /// another resolution, or a convolutional last probe, throws
+  /// std::logic_error from score().
   void attach_detector(anomaly_detector& detector);
 
   std::vector<scoring_result> score(const tensor& frames) override;
 
-  /// The frame-level activation cache, or nullptr when caching was off at
-  /// construction (DV_CACHE, docs/CACHING.md). Exposed for benches/tests
-  /// that read hit/miss stats.
+  /// The frame-level activation cache, at the validator's resolution, or
+  /// nullptr when caching was off at construction (DV_CACHE,
+  /// docs/CACHING.md). Exposed for benches/tests that read hit/miss stats.
   const activation_cache* frame_cache() const { return frame_cache_.get(); }
 
  private:
@@ -116,9 +125,9 @@ class validator_scorer : public batch_scorer {
   const deep_validator& validator_;
   const weighted_joint_validator* weighted_{nullptr};
   std::vector<anomaly_detector*> detectors_;
-  /// Strong-hash LRU over per-frame forward-pass products; score() runs
-  /// serialized (batcher worker or caller_runs under the batch mutex),
-  /// which is the single-mutator stream the cache requires.
+  /// Strong-hash LRU over per-frame reduced forward-pass products;
+  /// score() runs serialized (batcher worker or caller_runs under the
+  /// batch mutex), which is the single-mutator stream the cache requires.
   std::unique_ptr<activation_cache> frame_cache_;
 };
 
@@ -127,7 +136,9 @@ class validator_scorer : public batch_scorer {
 /// loaded ONCE per batch — every frame of a batch scores against one
 /// generation, and a publish between batches never drains the queue.
 /// Weighted scores come from the bank's embedded combiner when the
-/// snapshot carries one. When caching is on, a handle must not be shared
+/// snapshot carries one. The activation cache holds probes reduced at the
+/// published bank's resolution; a publish that changes it starts a new,
+/// cold cache. When caching is on, a handle must not be shared
 /// by two concurrently scoring services (docs/SNAPSHOTS.md): the bank's
 /// decision caches assume the serialized scoring stream one micro_batcher
 /// provides.
@@ -139,8 +150,9 @@ class engine_scorer : public batch_scorer {
 
   std::vector<scoring_result> score(const tensor& frames) override;
 
-  /// The frame-level activation cache, or nullptr when caching was off
-  /// at construction (DV_CACHE, docs/CACHING.md).
+  /// The frame-level activation cache, at the resolution of the last
+  /// bank it scored with, or nullptr when caching was off at construction
+  /// (DV_CACHE, docs/CACHING.md).
   const activation_cache* frame_cache() const { return frame_cache_.get(); }
 
  private:

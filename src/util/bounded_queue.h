@@ -4,13 +4,12 @@
 // Producers push single items and block (or bounce, via try_push) when the
 // queue is full — that bound is the backpressure mechanism. The single
 // consumer drains with pop_batch(): it blocks for the first item, then
-// keeps collecting until either `max_items` are gathered or `max_delay`
-// has elapsed since the first item of the batch was taken. close() wakes
-// everyone; producers fail fast afterwards while the consumer keeps
-// draining until the queue is empty, so no accepted item is ever dropped.
+// takes whatever else is already queued, up to `max_items`, and returns
+// without waiting for more. close() wakes everyone; producers fail fast
+// afterwards while the consumer keeps draining until the queue is empty,
+// so no accepted item is ever dropped.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -55,28 +54,17 @@ class bounded_queue {
   }
 
   /// Consumer side. Replaces `out` with up to `max_items` items: blocks
-  /// until the first item arrives, then waits at most `max_delay` (from
-  /// the moment the first item was taken) for more. Returns false only
-  /// when the queue is closed AND empty — the drain-complete signal.
-  bool pop_batch(std::vector<T>& out, std::size_t max_items,
-                 std::chrono::nanoseconds max_delay) {
+  /// until the first item arrives, then takes whatever else is queued
+  /// without waiting for more. Returns false only when the queue is
+  /// closed AND empty — the drain-complete signal.
+  bool pop_batch(std::vector<T>& out, std::size_t max_items) {
     out.clear();
     std::unique_lock lock{mutex_};
     not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;  // closed and drained
-    const auto deadline = clock_type::now() + max_delay;
     take_available(out, max_items);
-    while (out.size() < max_items) {
-      const bool woke = not_empty_.wait_until(lock, deadline, [this] {
-        return closed_ || !items_.empty();
-      });
-      if (!woke) break;  // deadline passed with nothing new
-      take_available(out, max_items);
-      if (closed_ && items_.empty()) break;
-    }
     lock.unlock();
     not_full_.notify_all();
-    return true;
+    return !out.empty();
   }
 
   /// Wakes all waiters; subsequent pushes fail, pops drain the remainder.
@@ -102,8 +90,6 @@ class bounded_queue {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  using clock_type = std::chrono::steady_clock;
-
   void take_available(std::vector<T>& out, std::size_t max_items) {
     while (!items_.empty() && out.size() < max_items) {
       out.push_back(std::move(items_.front()));

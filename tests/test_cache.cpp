@@ -8,13 +8,17 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/activation_cache.h"
 #include "core/deep_validator.h"
 #include "core/monitor.h"
+#include "core/probe_reducer.h"
 #include "eval/metrics.h"
+#include "nn/layers.h"
 #include "serve/scoring.h"
 #include "svm/one_class_svm.h"
 #include "tensor/simd/simd.h"
@@ -316,29 +320,88 @@ TEST(ActivationCache, ExtractBitwiseIdenticalColdAndWarm) {
 
   set_cache_enabled(false);
   const activation_batch plain = extract_activations(*world.model, frames);
+  EXPECT_EQ(plain.reduced_spatial, 0);
   set_cache_enabled(true);
-  set_cache_capacity(256);
-  activation_cache cache{256};
-  const activation_batch cold =
-      extract_activations_cached(*world.model, frames, &cache);
-  const activation_batch warm =
-      extract_activations_cached(*world.model, frames, &cache);
+  for (const int spatial : {1, 2}) {
+    SCOPED_TRACE(spatial);
+    activation_cache cache{256, spatial};
+    const activation_batch cold =
+        extract_activations_cached(*world.model, frames, &cache);
+    const activation_batch warm =
+        extract_activations_cached(*world.model, frames, &cache);
 
-  for (const activation_batch* got : {&cold, &warm}) {
-    EXPECT_TRUE(bitwise_equal(plain.logits, got->logits));
-    EXPECT_TRUE(bitwise_equal(plain.images, got->images));
-    EXPECT_EQ(plain.predictions, got->predictions);
-    ASSERT_EQ(plain.probes.size(), got->probes.size());
-    for (std::size_t p = 0; p < plain.probes.size(); ++p) {
-      EXPECT_TRUE(bitwise_equal(plain.probes[p], got->probes[p])) << p;
+    // The cached batch holds what the bank reads: every probe reduced at
+    // the cache's resolution, bit-equal to reducing the raw batch.
+    for (const activation_batch* got : {&cold, &warm}) {
+      EXPECT_EQ(got->reduced_spatial, spatial);
+      EXPECT_TRUE(bitwise_equal(plain.logits, got->logits));
+      EXPECT_TRUE(bitwise_equal(plain.images, got->images));
+      EXPECT_EQ(plain.predictions, got->predictions);
+      ASSERT_EQ(plain.probe_count(), got->probe_count());
+      for (int p = 0; p < plain.probe_count(); ++p) {
+        EXPECT_TRUE(bitwise_equal(
+            reduce_probe(plain.probes[static_cast<std::size_t>(p)], spatial),
+            got->probe_features(p, spatial)))
+            << p;
+      }
     }
+    // 6 unique frames: the cold pass misses all 24 rows (in-batch
+    // duplicates are not visible until the insert pass); the warm pass
+    // hits all 24.
+    EXPECT_EQ(cache.lru().size(), 6u);
+    EXPECT_EQ(cache.lru().misses(), 24u);
+    EXPECT_EQ(cache.lru().hits(), 24u);
   }
-  // 6 unique frames: the cold pass misses all 24 rows (in-batch
-  // duplicates are not visible until the insert pass); the warm pass
-  // hits all 24.
-  EXPECT_EQ(cache.lru().size(), 6u);
-  EXPECT_EQ(cache.lru().misses(), 24u);
-  EXPECT_EQ(cache.lru().hits(), 24u);
+}
+
+TEST(ActivationCache, MismatchedResolutionThrows) {
+  cache_state_guard guard;
+  set_cache_enabled(true);
+  auto& world = shared_tiny_world();
+  const tensor frames = duplicate_stream(4, 1);
+  activation_cache cache{16, 1};
+  const activation_batch acts =
+      extract_activations_cached(*world.model, frames, &cache);
+  EXPECT_THROW((void)acts.probe_features(0, 2), std::logic_error);
+  // The tiny model's last probe is dense, which the reducer passes
+  // through: the reduced batch still holds it, bit for bit.
+  const activation_batch plain = extract_activations(*world.model, frames);
+  EXPECT_TRUE(bitwise_equal(plain.last_probe_features(),
+                            acts.last_probe_features()));
+
+  // A convolutional last probe is gone once reduced.
+  rng gen{5};
+  sequential conv_last;
+  conv_last.add(std::make_unique<conv2d>(1, 2, 3, 1, 1, gen));
+  conv_last.add(std::make_unique<relu>(), /*probe=*/true);
+  conv_last.add(std::make_unique<flatten>());
+  conv_last.add(std::make_unique<dense>(2 * 28 * 28, 3, gen));
+  activation_cache conv_cache{16, 1};
+  const activation_batch reduced =
+      extract_activations_cached(conv_last, frames, &conv_cache);
+  EXPECT_THROW((void)reduced.last_probe_features(), std::logic_error);
+  EXPECT_NO_THROW((void)extract_activations(conv_last, frames)
+                      .last_probe_features());
+}
+
+TEST(ActivationCache, EntryHoldsLogitsAndReducedRows) {
+  cache_state_guard guard;
+  set_cache_enabled(true);
+  auto& world = shared_tiny_world();
+  const tensor frames = duplicate_stream(8, 1);
+  const activation_batch plain = extract_activations(*world.model, frames);
+  for (const int spatial : {1, 2}) {
+    SCOPED_TRACE(spatial);
+    std::int64_t floats = plain.logits.extent(1);
+    for (const tensor& p : plain.probes) {
+      floats += reduced_dimension(p.shape(), spatial);
+    }
+    activation_cache cache{16, spatial};
+    (void)extract_activations_cached(*world.model, frames, &cache);
+    ASSERT_EQ(cache.lru().size(), 8u);
+    EXPECT_EQ(cache.lru().bytes(),
+              8u * sizeof(float) * static_cast<std::size_t>(floats));
+  }
 }
 
 // -- full scoring path ---------------------------------------------------------

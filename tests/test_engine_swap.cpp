@@ -3,17 +3,22 @@
 // generation), agreement with the sequential path, and the TSan stress —
 // a publisher races fresh banks against submitters flowing through the
 // micro_batcher, and every verdict must match exactly one published
-// generation's threshold — and monitor_service verdicts, which follow the
+// generation's threshold — monitor_service verdicts, which follow the
 // published bank's threshold and generation rather than the monitor's
-// own. Run under scripts/run_static_analysis.sh's tsan stage to validate
-// the lock-free publish path.
+// own, a publish that changes the reducer resolution, and frames holding
+// NaN or infinite pixels, which fail closed on every serving surface. Run
+// under scripts/run_static_analysis.sh's tsan stage to validate the
+// lock-free publish path.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -38,19 +43,66 @@ struct thread_count_guard {
   ~thread_count_guard() { set_thread_count(0); }
 };
 
+/// Turns caching on for one test, whatever DV_CACHE says.
+struct cache_on_guard {
+  bool saved = cache_enabled();
+  cache_on_guard() { set_cache_enabled(true); }
+  ~cache_on_guard() { set_cache_enabled(saved); }
+};
+
+/// A validator fitted with probes reduced at `spatial`, with its
+/// threshold at 5% FPR on the test set.
+deep_validator fit_validator(int spatial) {
+  const auto& world = shared_tiny_world();
+  deep_validator out;
+  deep_validator_config cfg;
+  cfg.max_train_per_class = 40;
+  cfg.spatial = spatial;
+  out.fit(*world.model, world.train, cfg);
+  const auto clean = out.evaluate(*world.model, world.test.images).joint;
+  out.set_threshold(threshold_for_fpr(clean, 0.05));
+  return out;
+}
+
 /// A fitted validator with a threshold, shared across this binary.
 const deep_validator& fitted_validator() {
-  static const deep_validator dv = [] {
-    const auto& world = shared_tiny_world();
-    deep_validator out;
-    deep_validator_config cfg;
-    cfg.max_train_per_class = 40;
-    out.fit(*world.model, world.train, cfg);
-    const auto clean = out.evaluate(*world.model, world.test.images).joint;
-    out.set_threshold(threshold_for_fpr(clean, 0.05));
-    return out;
-  }();
+  static const deep_validator dv = fit_validator(1);
   return dv;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Every finite row of `got` carries the bits of `expected`, judged by
+/// `bank`; rows marked in `nonfinite` come back invalid and flagged.
+void expect_rows(const std::vector<scoring_result>& got,
+                 const validation_scores& expected,
+                 const validator_bank_view& bank,
+                 const std::vector<bool>& nonfinite) {
+  ASSERT_EQ(got.size(), expected.joint.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i].nonfinite, nonfinite[i]);
+    if (nonfinite[i]) {
+      EXPECT_TRUE(got[i].invalid);
+      continue;
+    }
+    EXPECT_TRUE(same_bits(got[i].joint, expected.joint[i]));
+    EXPECT_EQ(got[i].prediction, expected.predictions[i]);
+    EXPECT_EQ(got[i].invalid, bank.flags_invalid(expected.joint[i]));
+    ASSERT_EQ(got[i].per_layer.size(), expected.per_layer.size());
+    for (std::size_t l = 0; l < expected.per_layer.size(); ++l) {
+      EXPECT_TRUE(same_bits(got[i].per_layer[l], expected.per_layer[l][i]));
+    }
+  }
+}
+
+double counter_value(const std::string& name) {
+  for (const auto& s : metrics::collect().samples) {
+    if (s.name == name) return s.value;
+  }
+  return 0.0;
 }
 
 /// A bank sharing fitted_validator()'s layers but carrying `threshold`,
@@ -150,22 +202,11 @@ TEST(EngineScorer, MatchesSequentialEvaluation) {
 
   const tensor frames = subset_frames(12);
   const auto results = scorer.score(frames);
-  const auto expected = dv.evaluate(*world.model, frames);
-  ASSERT_EQ(results.size(), 12u);
-  for (std::size_t j = 0; j < results.size(); ++j) {
-    EXPECT_EQ(std::memcmp(&results[j].joint, &expected.joint[j],
-                          sizeof(double)),
-              0);
-    EXPECT_EQ(results[j].prediction, expected.predictions[j]);
-    EXPECT_EQ(results[j].invalid, dv.flags_invalid(expected.joint[j]));
-    EXPECT_EQ(results[j].generation, 1u);
-    EXPECT_FALSE(results[j].has_weighted);
-    ASSERT_EQ(results[j].per_layer.size(), expected.per_layer.size());
-    for (std::size_t l = 0; l < expected.per_layer.size(); ++l) {
-      EXPECT_EQ(std::memcmp(&results[j].per_layer[l],
-                            &expected.per_layer[l][j], sizeof(double)),
-                0);
-    }
+  expect_rows(results, dv.evaluate(*world.model, frames), dv.bank(),
+              std::vector<bool>(12, false));
+  for (const auto& r : results) {
+    EXPECT_EQ(r.generation, 1u);
+    EXPECT_FALSE(r.has_weighted);
   }
 }
 
@@ -203,6 +244,40 @@ TEST(EngineScorer, BatchPinsOneGenerationWhilePublisherRaces) {
   stop.store(true);
   publisher.join();
   EXPECT_LE(last, handle.generation());
+}
+
+TEST(EngineScorer, PublishAtAnotherResolutionStartsAColdCache) {
+  cache_on_guard caching;
+  const auto& world = shared_tiny_world();
+  const deep_validator& gap = fitted_validator();
+  const deep_validator grid = fit_validator(2);
+  const tensor frames = subset_frames(12);
+  const std::vector<bool> no_nonfinite(12, false);
+  engine_handle handle;
+  (void)handle.publish(gap.bank());
+  engine_scorer scorer{*world.model, handle};
+
+  const auto gap_expected = gap.evaluate(*world.model, frames);
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto rows = scorer.score(frames);
+    expect_rows(rows, gap_expected, gap.bank(), no_nonfinite);
+    EXPECT_EQ(rows.front().generation, 1u);
+  }
+  ASSERT_NE(scorer.frame_cache(), nullptr);
+  EXPECT_EQ(scorer.frame_cache()->spatial(), 1);
+  EXPECT_EQ(scorer.frame_cache()->lru().hits(), 12u);
+
+  // The new bank reads probes at spatial 2: the rows cached for the old
+  // one cannot serve it, so the first batch after the publish misses on
+  // every row and scores exactly as a fresh evaluate of the new bank.
+  (void)handle.publish(grid.bank());
+  const auto rows = scorer.score(frames);
+  expect_rows(rows, grid.evaluate(*world.model, frames), grid.bank(),
+              no_nonfinite);
+  EXPECT_EQ(rows.front().generation, 2u);
+  EXPECT_EQ(scorer.frame_cache()->spatial(), 2);
+  EXPECT_EQ(scorer.frame_cache()->lru().misses(), 12u);
+  EXPECT_EQ(scorer.frame_cache()->lru().hits(), 0u);
 }
 
 // -- hot-swap stress through the micro_batcher --------------------------------
@@ -307,6 +382,98 @@ TEST(EngineSwap, MonitorVerdictsFollowThePublishedBank) {
   EXPECT_GT(publish_and_stream(0.30), 0);
   EXPECT_GT(publish_and_stream(0.01), 0);
   service.shutdown();
+}
+
+// -- non-finite frames fail closed --------------------------------------------
+
+/// Clean test frames where five of every six carry one pixel, at a seeded
+/// position, set to NaN, +Inf, -Inf, a denormal or 1e30; only the first
+/// three kinds are non-finite.
+struct poisoned_stream {
+  tensor frames;
+  std::vector<bool> nonfinite;
+};
+
+poisoned_stream poisoned_frames(std::int64_t n) {
+  const float values[] = {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::denorm_min(), 1e30f};
+  poisoned_stream out{subset_frames(n),
+                      std::vector<bool>(static_cast<std::size_t>(n), false)};
+  const std::int64_t frame_elems = out.frames.numel() / n;
+  rng gen{2024};
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t kind = i % 6;
+    if (kind == 5) continue;  // stays clean
+    const int pixel = gen.uniform_int(0, static_cast<int>(frame_elems) - 1);
+    out.frames.data()[i * frame_elems + pixel] =
+        values[static_cast<std::size_t>(kind)];
+    out.nonfinite[static_cast<std::size_t>(i)] = kind < 3;
+  }
+  return out;
+}
+
+TEST(NonfiniteFrames, FailClosedOnEveryServingSurface) {
+  const bool metrics_were_on = metrics::enabled();
+  metrics::set_enabled(true);
+  const auto& dv = fitted_validator();
+  const auto& world = shared_tiny_world();
+  const poisoned_stream in = poisoned_frames(24);
+  const auto n = static_cast<std::int64_t>(in.nonfinite.size());
+  const validator_bank_view bank = dv.bank();
+  const validation_scores expected = bank.evaluate(*world.model, in.frames);
+  engine_handle handle;
+  (void)handle.publish(bank);
+  engine_scorer scorer{*world.model, handle};
+
+  // engine_scorer, one batch; each non-finite frame is counted once.
+  const double before = counter_value("dv_serve_nonfinite_frames_total");
+  expect_rows(scorer.score(in.frames), expected, bank, in.nonfinite);
+  EXPECT_EQ(counter_value("dv_serve_nonfinite_frames_total") - before, 12.0);
+
+  // scoring_service: frame by frame through the micro-batcher.
+  serve_config config;
+  config.batch.max_batch = 8;
+  {
+    scoring_service service{scorer, config};
+    std::vector<std::future<scoring_result>> futures;
+    for (std::int64_t i = 0; i < n; ++i) {
+      futures.push_back(service.submit(in.frames.sample(i)));
+    }
+    std::vector<scoring_result> rows;
+    for (auto& f : futures) rows.push_back(f.get());
+    expect_rows(rows, expected, bank, in.nonfinite);
+    service.shutdown();
+  }
+
+  // monitor_service over the engine_scorer and over its own
+  // validator_scorer: a non-finite frame is folded as invalid.
+  runtime_monitor monitor{*world.model, dv};
+  for (const bool engine : {true, false}) {
+    SCOPED_TRACE(engine);
+    monitor.reset();
+    auto service = engine ? std::make_unique<monitor_service>(
+                                scorer, monitor, config)
+                          : std::make_unique<monitor_service>(
+                                *world.model, monitor, config);
+    std::vector<std::future<monitor_verdict>> futures;
+    for (std::int64_t i = 0; i < n; ++i) {
+      futures.push_back(service->submit(in.frames.sample(i)));
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const monitor_verdict v = futures[i].get();
+      EXPECT_EQ(v.nonfinite, in.nonfinite[i]) << i;
+      if (in.nonfinite[i]) {
+        EXPECT_TRUE(v.frame_invalid) << i;
+        continue;
+      }
+      EXPECT_TRUE(same_bits(v.discrepancy, expected.joint[i])) << i;
+      EXPECT_EQ(v.frame_invalid, bank.flags_invalid(expected.joint[i])) << i;
+    }
+    service->shutdown();
+  }
+  metrics::set_enabled(metrics_were_on);
 }
 
 }  // namespace

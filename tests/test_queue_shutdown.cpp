@@ -37,7 +37,7 @@ TEST(QueueShutdown, PushAfterCloseFailsFastAndKeepsTheItem) {
   EXPECT_EQ(q.size(), 0u);
   // The consumer sees the drain-complete signal immediately.
   std::vector<int> batch;
-  EXPECT_FALSE(q.pop_batch(batch, 8, 1ms));
+  EXPECT_FALSE(q.pop_batch(batch, 8));
   EXPECT_TRUE(batch.empty());
   q.close();  // idempotent
   EXPECT_TRUE(q.closed());
@@ -61,9 +61,9 @@ TEST(QueueShutdown, CloseReleasesParkedProducerWithoutConsuming) {
   EXPECT_EQ(stuck, 7);
   // The item accepted before close() is still drained.
   std::vector<int> batch;
-  EXPECT_TRUE(q.pop_batch(batch, 8, 0ms));
+  EXPECT_TRUE(q.pop_batch(batch, 8));
   EXPECT_EQ(batch, std::vector<int>{1});
-  EXPECT_FALSE(q.pop_batch(batch, 8, 0ms));
+  EXPECT_FALSE(q.pop_batch(batch, 8));
 }
 
 TEST(QueueShutdown, CloseReleasesParkedConsumer) {
@@ -72,7 +72,7 @@ TEST(QueueShutdown, CloseReleasesParkedConsumer) {
   auto fut = popped.get_future();
   std::thread consumer{[&] {
     std::vector<int> batch;
-    popped.set_value(q.pop_batch(batch, 4, 10ms));
+    popped.set_value(q.pop_batch(batch, 4));
   }};
   // Nothing is ever pushed, so only close() can release the consumer.
   EXPECT_EQ(fut.wait_for(20ms), std::future_status::timeout);
@@ -100,7 +100,7 @@ TEST(QueueShutdown, DrainWhilePushingDropsAndDuplicatesNothing) {
   std::size_t total = 0;
   std::thread consumer{[&] {
     std::vector<int> batch;
-    while (q.pop_batch(batch, 32, 100us)) {
+    while (q.pop_batch(batch, 32)) {
       for (const int v : batch) ++hits[static_cast<std::size_t>(v)];
       total += batch.size();
     }

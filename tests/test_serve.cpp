@@ -125,9 +125,9 @@ TEST(BoundedQueue, PopBatchCoalescesUpToMaxItems) {
     ASSERT_EQ(q.try_push(v), queue_push_result::ok);
   }
   std::vector<int> batch;
-  ASSERT_TRUE(q.pop_batch(batch, 3, 0ns));
+  ASSERT_TRUE(q.pop_batch(batch, 3));
   EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
-  ASSERT_TRUE(q.pop_batch(batch, 3, 0ns));
+  ASSERT_TRUE(q.pop_batch(batch, 3));
   EXPECT_EQ(batch, (std::vector<int>{3, 4}));
   EXPECT_EQ(q.size(), 0u);
 }
@@ -150,9 +150,9 @@ TEST(BoundedQueue, CloseDrainsThenSignalsDone) {
   }
   q.close();
   std::vector<int> batch;
-  ASSERT_TRUE(q.pop_batch(batch, 10, 1ms));
+  ASSERT_TRUE(q.pop_batch(batch, 10));
   EXPECT_EQ(batch.size(), 3u);
-  EXPECT_FALSE(q.pop_batch(batch, 10, 1ms));  // closed and empty
+  EXPECT_FALSE(q.pop_batch(batch, 10));  // closed and empty
 }
 
 TEST(BoundedQueue, BlockingPushUnblocksWhenConsumerDrains) {
@@ -164,10 +164,10 @@ TEST(BoundedQueue, BlockingPushUnblocksWhenConsumerDrains) {
     EXPECT_TRUE(q.push(second));  // blocks until the pop below
   }};
   std::vector<int> batch;
-  ASSERT_TRUE(q.pop_batch(batch, 1, 0ns));
+  ASSERT_TRUE(q.pop_batch(batch, 1));
   EXPECT_EQ(batch, (std::vector<int>{1}));
   producer.join();
-  ASSERT_TRUE(q.pop_batch(batch, 1, 0ns));
+  ASSERT_TRUE(q.pop_batch(batch, 1));
   EXPECT_EQ(batch, (std::vector<int>{2}));
 }
 
@@ -179,7 +179,7 @@ TEST(BoundedQueue, PopBatchWaitsForFirstItem) {
     (void)q.push(v);
   }};
   std::vector<int> batch;
-  ASSERT_TRUE(q.pop_batch(batch, 4, 0ns));  // blocks for the first item
+  ASSERT_TRUE(q.pop_batch(batch, 4));  // blocks for the first item
   EXPECT_EQ(batch, (std::vector<int>{7}));
   producer.join();
 }
@@ -221,6 +221,18 @@ TEST(ScoringService, CoalescesQueuedFramesIntoOneBatch) {
   }
   // Deterministic composition: {0} was in flight, the other 7 coalesce.
   EXPECT_EQ(scorer.batch_sizes(), (std::vector<std::int64_t>{1, 7}));
+  svc.shutdown();
+}
+
+TEST(ScoringService, LoneFrameDoesNotWaitForMaxDelay) {
+  pixel_scorer scorer;
+  scoring_service svc{scorer, stub_config(8, 16, overflow_policy::block, 10s)};
+  auto future = svc.submit(tagged_frame(3));
+  // The worker scores a partial batch as soon as it is free; max_delay
+  // has no effect.
+  ASSERT_EQ(future.wait_for(1s), std::future_status::ready);
+  EXPECT_EQ(future.get().joint, 3.0);
+  EXPECT_EQ(scorer.batch_sizes(), (std::vector<std::int64_t>{1}));
   svc.shutdown();
 }
 
