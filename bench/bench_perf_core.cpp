@@ -1,5 +1,6 @@
 // Microbenchmarks of the numerical kernels behind the library (google-
-// benchmark): GEMM variants, im2col, convolution forward/backward, the RBF
+// benchmark): GEMM variants, im2col, convolution forward/backward, the
+// direct convolution of the fused DenseNet inference, the RBF
 // kernel and one-class SVM scoring, affine warping, and the squeezers.
 //
 // The *_threads variants take the pool size as the second benchmark
@@ -117,6 +118,60 @@ void bm_conv_forward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8);  // images per iteration
 }
 BENCHMARK(bm_conv_forward);
+
+/// The objects DenseNet's composite conv shapes: a growth conv of each
+/// block's units (12 and 24 -> 6 at 32x32, 27 -> 6 at 16x16, 28 -> 6 at
+/// 8x8) and the first transition's 1x1 conv (30 -> 15 at 32x32). Args:
+/// in_c, out_c, kernel, size (square output, "same" padding).
+void dense_conv_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({12, 6, 3, 32})
+      ->Args({24, 6, 3, 32})
+      ->Args({27, 6, 3, 16})
+      ->Args({28, 6, 3, 8})
+      ->Args({30, 15, 1, 32})
+      ->ArgNames({"in_c", "out_c", "kernel", "size"});
+}
+
+/// conv_direct on one staged image with its zero border written in, as
+/// the fused dense-block inference calls it; single-threaded, items are
+/// images.
+void bm_conv_direct(benchmark::State& state) {
+  thread_arg threads{1};
+  const std::int64_t in_c = state.range(0), out_c = state.range(1);
+  const std::int64_t k = state.range(2), size = state.range(3);
+  const std::int64_t padded = size + k - 1;
+  rng gen{6};
+  const conv_geometry g{in_c, padded, padded, k, 1, 0};
+  const tensor image = tensor::uniform({in_c, padded, padded}, gen, 0, 1);
+  const tensor weight = tensor::randn({out_c, g.col_rows()}, gen);
+  tensor out{{out_c, size, size}};
+  for (auto _ : state) {
+    conv_direct(image.data(), g, weight.data(), out_c, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(bm_conv_direct)->Apply(dense_conv_shapes);
+
+/// The im2col + GEMM reference for bm_conv_direct's shapes: conv2d::infer
+/// on a 4-image batch (an inference slice), single-threaded; items are
+/// images.
+void bm_conv_forward_shape(benchmark::State& state) {
+  thread_arg threads{1};
+  const std::int64_t in_c = state.range(0), out_c = state.range(1);
+  const std::int64_t k = state.range(2), size = state.range(3);
+  rng gen{6};
+  const conv2d conv{in_c, out_c, k, 1, k / 2, gen, /*bias=*/false};
+  const tensor x = tensor::uniform({4, in_c, size, size}, gen, 0, 1);
+  for (auto _ : state) {
+    tensor y = conv.infer(x, nullptr);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 4);
+}
+BENCHMARK(bm_conv_forward_shape)
+    ->Name("bm_conv_forward")
+    ->Apply(dense_conv_shapes);
 
 void bm_conv_backward(benchmark::State& state) {
   rng gen{5};

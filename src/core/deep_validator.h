@@ -59,16 +59,19 @@ class deep_validator {
   using scores = validation_scores;
 
   /// Algorithm 2 over a batch of images: chunks by the configured batch
-  /// size, extracting activations once per chunk.
+  /// size, extracting activations once per chunk. A frame holding a NaN
+  /// or an infinity gets a joint of +inf (validator_bank_view::evaluate).
   scores evaluate(const sequential& model, const tensor& images) const;
 
   /// Algorithm 2 over pre-extracted activations — the batch-first entry
   /// point shared with the detectors and the serving layer. No forward
   /// pass; scores are bitwise identical to evaluate(model, images) for
-  /// the same rows (per-row kernels, DESIGN.md §8).
+  /// the same finite rows (per-row kernels, DESIGN.md §8). Non-finite
+  /// frames are the caller's to fail closed (the serving scorers do).
   scores evaluate(const activation_batch& acts) const;
 
-  /// Joint discrepancy of a single [C,H,W] image.
+  /// Joint discrepancy of a single [C,H,W] image; +inf when the image
+  /// holds a NaN or an infinity.
   double joint_discrepancy(const sequential& model,
                            const tensor& image) const;
 

@@ -89,7 +89,10 @@ monitor_verdict runtime_monitor::observe(const tensor& frame) {
     batch.reshape({1, frame.extent(0), frame.extent(1), frame.extent(2)});
   }
   const auto scores = validator_.evaluate(model_, batch);
-  return apply({scores.joint.front(), scores.predictions.front()});
+  monitor_verdict v =
+      apply({scores.joint.front(), scores.predictions.front()});
+  v.nonfinite = frame_nonfinite(frame.data(), frame.numel());
+  return v;
 }
 
 std::vector<monitor_verdict> runtime_monitor::observe_batch(
@@ -98,8 +101,13 @@ std::vector<monitor_verdict> runtime_monitor::observe_batch(
   const auto scores = validator_.evaluate(model_, frames);
   std::vector<monitor_verdict> out;
   out.reserve(scores.joint.size());
-  for (std::size_t i = 0; i < scores.joint.size(); ++i) {
-    out.push_back(apply({scores.joint[i], scores.predictions[i]}));
+  const auto n = static_cast<std::int64_t>(scores.joint.size());
+  const std::int64_t frame_elems = n > 0 ? frames.numel() / n : 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto row = static_cast<std::size_t>(i);
+    out.push_back(apply({scores.joint[row], scores.predictions[row]}));
+    out.back().nonfinite =
+        frame_nonfinite(frames.data() + i * frame_elems, frame_elems);
   }
   return out;
 }

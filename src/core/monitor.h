@@ -38,7 +38,8 @@ struct monitor_verdict {
   /// monitor's own validator did; see serve/engine_handle.h).
   std::uint64_t generation{0};
   /// The frame held a NaN or an infinity and was folded as invalid
-  /// (scoring_result::nonfinite; set by monitor_service).
+  /// (frame_nonfinite; set by observe, observe_batch and
+  /// monitor_service).
   bool nonfinite{false};
 };
 
@@ -72,7 +73,9 @@ class runtime_monitor {
                         std::uint64_t generation);
 
   /// Feeds one [C,H,W] frame; returns the verdict and updates alarm state.
-  /// Thin wrapper: one-frame evaluate + apply().
+  /// Thin wrapper: one-frame evaluate + apply(). A frame holding a NaN or
+  /// an infinity scores a joint of +inf, so it is folded as invalid, and
+  /// its verdict carries `nonfinite`.
   monitor_verdict observe(const tensor& frame);
 
   /// Feeds a [N,C,H,W] batch of consecutive stream frames with shared

@@ -1,14 +1,21 @@
 #include "core/validator_bank.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "tensor/ops.h"
 #include "util/metrics.h"
 #include "util/serialize.h"
 #include "util/trace.h"
 
 namespace dv {
+
+bool frame_nonfinite(const float* frame, std::int64_t elems) {
+  return !std::isfinite(array_sum(frame, elems));
+}
 
 // ---------------------------------------------------------------------------
 // bank settings and snapshot header
@@ -160,6 +167,13 @@ validation_scores validator_bank_view::evaluate(const sequential& model,
     const activation_batch acts =
         extract_activations(model, images.slice_rows(begin, end));
     score_into(acts, out, begin);
+  }
+  const std::int64_t frame_elems = n > 0 ? images.numel() / n : 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (frame_nonfinite(images.data() + i * frame_elems, frame_elems)) {
+      out.joint[static_cast<std::size_t>(i)] =
+          std::numeric_limits<double>::infinity();
+    }
   }
   return out;
 }

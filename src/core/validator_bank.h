@@ -45,6 +45,14 @@ struct validation_scores {
 /// evaluate. deep_validator::fit and every bank loader check it.
 const char* bank_settings_error(int spatial, int max_batch);
 
+/// True when the `elems` floats of one frame hold a NaN or an infinity:
+/// the one non-finite test behind every scoring path that fails closed
+/// (validator_bank_view::evaluate over images, runtime_monitor::observe*,
+/// the serving scorers). A frame is finite exactly when its
+/// double-precision sum is: float magnitudes cannot overflow a double sum
+/// of a frame, and any NaN or infinity poisons it.
+bool frame_nonfinite(const float* frame, std::int64_t elems);
+
 /// The header sections of a bank snapshot (docs/SNAPSHOTS.md).
 struct bank_snapshot_header {
   int spatial{1};
@@ -115,7 +123,10 @@ class validator_bank_view {
   validation_scores evaluate(const activation_batch& acts) const;
 
   /// Algorithm 2 over raw images: chunks by the configured batch size,
-  /// extracting activations once per chunk.
+  /// extracting activations once per chunk. Fails closed: a frame that
+  /// holds a NaN or an infinity (frame_nonfinite) gets a joint of +inf,
+  /// so flags_invalid holds at any threshold and it ranks as the most
+  /// anomalous frame; its per-layer values are left as scored.
   validation_scores evaluate(const sequential& model,
                              const tensor& images) const;
 

@@ -1,12 +1,90 @@
 #include "nn/dense_block.h"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
 
+#include "tensor/ops.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace dv {
+
+namespace {
+
+/// Samples per parallel chunk: fixed, as in conv2d, so the chunking never
+/// depends on DV_THREADS (each sample's result does not either).
+constexpr std::int64_t k_sample_grain = 4;
+
+/// The inference constants of one BN -> ReLU -> conv composite, gathered
+/// once per infer() call.
+struct fused_composite {
+  std::vector<float> mean, inv_std;
+  const float* gamma{};
+  const float* beta{};
+  /// Conv weight [out_c, in_c * kernel * kernel]; the conv has no bias.
+  const float* weight{};
+  std::int64_t in_c{}, out_c{}, kernel{};
+};
+
+fused_composite fuse(const batch_norm& bn, const conv2d& conv,
+                     std::int64_t kernel) {
+  fused_composite f;
+  bn.running_stats(f.mean, f.inv_std);
+  f.gamma = bn.gamma().data();
+  f.beta = bn.beta().data();
+  f.weight = conv.weight().data();
+  f.in_c = conv.in_channels();
+  f.out_c = conv.out_channels();
+  f.kernel = kernel;
+  return f;
+}
+
+/// Writes relu(bn(x)) of channels [0, f.in_c) of one [C, h, w] sample into
+/// `dst` as [f.in_c, h + 2 pad, w + 2 pad] with a zero border. bn_relu
+/// (tensor/ops.h) runs batch_norm::infer's arithmetic then relu::infer's,
+/// so the staged values equal what the layer chain feeds conv2d.
+void stage_bn_relu(const fused_composite& f, const float* x, std::int64_t h,
+                   std::int64_t w, std::int64_t pad, float* dst) {
+  const std::int64_t row = w + 2 * pad;
+  for (std::int64_t c = 0; c < f.in_c; ++c) {
+    const auto ch = static_cast<std::size_t>(c);
+    const float m = f.mean[ch], s = f.inv_std[ch];
+    const float g = f.gamma[c], b = f.beta[c];
+    if (pad == 0) {
+      bn_relu(x, h * w, m, s, g, b, dst);
+      x += h * w;
+      dst += h * w;
+      continue;
+    }
+    std::fill_n(dst, pad * row, 0.0f);
+    dst += pad * row;
+    for (std::int64_t y = 0; y < h; ++y, x += w, dst += row) {
+      std::fill_n(dst, pad, 0.0f);
+      bn_relu(x, w, m, s, g, b, dst + pad);
+      std::fill_n(dst + pad + w, pad, 0.0f);
+    }
+    std::fill_n(dst, pad * row, 0.0f);
+    dst += pad * row;
+  }
+}
+
+/// One sample of the composite: stages channels [0, f.in_c) of the
+/// [C, h, w] sample `x` into `staged` and convolves them (stride 1, "same"
+/// padding) into out[f.out_c, h, w].
+void run_fused(const fused_composite& f, const float* x, std::int64_t h,
+               std::int64_t w, std::vector<float>& staged, float* out) {
+  const std::int64_t pad = f.kernel / 2;
+  conv_geometry g{f.in_c, h + 2 * pad, w + 2 * pad, f.kernel, 1, 0};
+  // A 1x1 conv reads each plane as one row.
+  if (f.kernel == 1) g = conv_geometry{f.in_c, 1, h * w, 1, 1, 0};
+  staged.resize(static_cast<std::size_t>(g.in_c * g.in_h * g.in_w));
+  stage_bn_relu(f, x, h, w, pad, staged.data());
+  conv_direct(staged.data(), g, f.weight, f.out_c, out);
+}
+
+}  // namespace
 
 tensor concat_channels(const tensor& a, const tensor& b) {
   if (a.dim() != 4 || b.dim() != 4 || a.extent(0) != b.extent(0) ||
@@ -57,12 +135,6 @@ tensor dense_unit::forward(const tensor& x, bool training) {
   return conv_.forward(h, training);
 }
 
-tensor dense_unit::infer(const tensor& x) const {
-  tensor h = bn_.infer(x, nullptr);
-  h = act_.infer(h, nullptr);
-  return conv_.infer(h, nullptr);
-}
-
 tensor dense_unit::backward(const tensor& grad_out) {
   tensor g = conv_.backward(grad_out);
   g = act_.backward(g);
@@ -109,14 +181,46 @@ tensor dense_block::forward(const tensor& x, bool training) {
 tensor dense_block::infer(const tensor& x, std::vector<tensor>* probes) const {
   trace_span span{"nn.dense_block.forward"};
   check_input(x);
-  tensor state = x;
-  for (std::size_t u = 0; u < units_.size(); ++u) {
-    tensor y = units_[u]->infer(state);
-    state = concat_channels(state, y);
-    if (unit_probe_[u] && probes != nullptr) probes->push_back(std::move(y));
+  const std::int64_t n = x.extent(0), h = x.extent(2), w = x.extent(3);
+  const std::int64_t plane = h * w;
+  const std::int64_t total_c = out_channels();
+  std::vector<fused_composite> fused;
+  fused.reserve(units_.size());
+  for (const auto& unit : units_) {
+    fused.push_back(fuse(unit->bn(), unit->conv(), 3));
   }
-  record_probe(state, probes);
-  return state;
+  tensor out{{n, total_c, h, w}};
+  // Each sample owns its slice of `out`: the input fills its channel
+  // prefix, then every unit reads the channels before its own and writes
+  // its growth channels in place. The staging buffer grows to its
+  // steady-state size once per thread.
+  // dv:parallel-safe(disjoint samples) dv-lint: allow(effect:may_allocate)
+  parallel_for(0, n, k_sample_grain, [&](std::int64_t begin, std::int64_t end) {
+    thread_local std::vector<float> staged;
+    for (std::int64_t i = begin; i < end; ++i) {
+      float* sample = out.data() + i * total_c * plane;
+      std::memcpy(sample, x.data() + i * in_c_ * plane,
+                  static_cast<std::size_t>(in_c_ * plane) * sizeof(float));
+      for (const fused_composite& f : fused) {
+        run_fused(f, sample, h, w, staged, sample + f.in_c * plane);
+      }
+    }
+  });
+  if (probes != nullptr) {
+    for (std::size_t u = 0; u < units_.size(); ++u) {
+      if (!unit_probe_[u]) continue;
+      const std::int64_t first = fused[u].in_c;
+      tensor y{{n, growth_, h, w}};
+      for (std::int64_t i = 0; i < n; ++i) {
+        std::memcpy(y.data() + i * growth_ * plane,
+                    out.data() + (i * total_c + first) * plane,
+                    static_cast<std::size_t>(growth_ * plane) * sizeof(float));
+      }
+      probes->push_back(std::move(y));
+    }
+  }
+  record_probe(out, probes);
+  return out;
 }
 
 tensor dense_block::backward(const tensor& grad_out) {
@@ -188,10 +292,23 @@ tensor transition::forward(const tensor& x, bool training) {
 
 tensor transition::infer(const tensor& x, std::vector<tensor>* probes) const {
   trace_span span{"nn.transition.forward"};
-  tensor h = bn_.infer(x, nullptr);
-  h = act_.infer(h, nullptr);
-  h = conv_.infer(h, nullptr);
-  tensor out = pool_.infer(h, nullptr);
+  if (x.dim() != 4 || x.extent(1) != conv_.in_channels()) {
+    throw std::invalid_argument{"transition::infer: bad input " +
+                                x.shape_string()};
+  }
+  const std::int64_t n = x.extent(0), h = x.extent(2), w = x.extent(3);
+  const std::int64_t plane = h * w;
+  const fused_composite f = fuse(bn_, conv_, 1);
+  tensor conv_out{{n, out_c_, h, w}};
+  // dv:parallel-safe(disjoint samples) dv-lint: allow(effect:may_allocate)
+  parallel_for(0, n, k_sample_grain, [&](std::int64_t begin, std::int64_t end) {
+    thread_local std::vector<float> staged;
+    for (std::int64_t i = begin; i < end; ++i) {
+      run_fused(f, x.data() + i * f.in_c * plane, h, w, staged,
+                conv_out.data() + i * out_c_ * plane);
+    }
+  });
+  tensor out = pool_.infer(conv_out, nullptr);
   record_probe(out, probes);
   return out;
 }

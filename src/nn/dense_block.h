@@ -9,6 +9,14 @@
 // Each unit can be flagged as a probe point: infer() then reports the
 // unit's newly produced feature maps y_u = f_u(s_{u-1}), i.e. "the output
 // of layer u" in the paper's sense.
+//
+// forward() runs each composite as its layer chain (batch_norm, relu,
+// conv2d, concat_channels), which backward and the attacks need. infer()
+// runs one fused path with the same bits (DESIGN.md §8): per sample, a
+// composite stages relu(bn(x)) once into a per-thread buffer with the
+// conv's zero border, and conv_direct (tensor/ops.h) convolves it straight
+// into the output. A dense block allocates its [N, C_total, H, W] output
+// once and each unit writes its growth channels in place.
 #pragma once
 
 #include <memory>
@@ -23,14 +31,14 @@ class dense_unit {
   dense_unit(std::int64_t in_c, std::int64_t growth, rng& gen);
 
   tensor forward(const tensor& x, bool training);
-  /// The unit's new feature maps, as layer::infer computes them.
-  tensor infer(const tensor& x) const;
   /// Returns gradient w.r.t. the unit input.
   tensor backward(const tensor& grad_out);
   std::vector<param_ref> params();
   std::vector<tensor*> state();
 
   std::int64_t growth() const { return growth_; }
+  const batch_norm& bn() const { return bn_; }
+  const conv2d& conv() const { return conv_; }
 
  private:
   std::int64_t growth_;

@@ -110,6 +110,7 @@ class conv2d : public layer {
 
   std::int64_t in_channels() const { return in_c_; }
   std::int64_t out_channels() const { return out_c_; }
+  const tensor& weight() const { return weight_; }
 
  private:
   std::int64_t in_c_, out_c_, kernel_, stride_, pad_;
@@ -210,12 +211,16 @@ class batch_norm : public layer {
   /// Running statistics participate in serialization as extra state.
   tensor& running_mean() { return running_mean_; }
   tensor& running_var() { return running_var_; }
+  const tensor& gamma() const { return gamma_; }
+  const tensor& beta() const { return beta_; }
+  /// Per-channel mean and 1/sqrt(var + eps) from the running statistics:
+  /// infer() maps x to gamma * h + beta with h = (x - mean) * inv_std
+  /// rounded to float first.
+  void running_stats(std::vector<float>& mean,
+                     std::vector<float>& inv_std) const;
 
  private:
   void check_input(const tensor& x) const;
-  /// Per-channel mean and 1/sqrt(var + eps) from the running statistics.
-  void running_stats(std::vector<float>& mean,
-                     std::vector<float>& inv_std) const;
 
   std::int64_t channels_;
   double momentum_, eps_;

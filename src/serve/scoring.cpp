@@ -1,20 +1,16 @@
 #include "serve/scoring.h"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "core/activation_batch.h"
-#include "tensor/ops.h"
 #include "util/metrics.h"
 
 namespace dv {
 
 namespace {
 
-/// Fails closed on frames that hold a NaN or an infinity: their rows
-/// become invalid and nonfinite. A frame is finite exactly when its
-/// double-precision sum is: float magnitudes cannot overflow a double
-/// sum of a frame, and any NaN or infinity poisons it.
+/// Fails closed on frames that hold a NaN or an infinity
+/// (frame_nonfinite): their rows become invalid and nonfinite.
 void fail_nonfinite_rows(const tensor& frames,
                          std::vector<scoring_result>& rows) {
   if (rows.empty()) return;
@@ -22,8 +18,7 @@ void fail_nonfinite_rows(const tensor& frames,
   const std::int64_t frame_elems = frames.numel() / n;
   std::uint64_t flagged = 0;
   for (std::int64_t i = 0; i < n; ++i) {
-    if (std::isfinite(array_sum(frames.data() + i * frame_elems,
-                                frame_elems))) {
+    if (!frame_nonfinite(frames.data() + i * frame_elems, frame_elems)) {
       continue;
     }
     auto& row = rows[static_cast<std::size_t>(i)];

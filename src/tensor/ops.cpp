@@ -31,7 +31,7 @@ namespace {
 // mul+add, so the result is also bit-identical for any DV_SIMD level.
 constexpr std::int64_t MR = simd_gemm_mr;  // micro-kernel rows
 constexpr std::int64_t NR = simd_gemm_nr;  // micro-kernel columns
-constexpr std::int64_t KC = 256;  // k panel
+constexpr std::int64_t KC = simd_gemm_kc;  // k panel
 constexpr std::int64_t NC = 512;  // n panel
 // Row-blocks per parallel chunk (32 rows): big enough to amortize
 // dispatch, small enough to load-balance mid-sized matrices.
@@ -215,6 +215,27 @@ void im2col(const float* image, const conv_geometry& g, float* col) {
   simd_kernels().im2col(image, g, col);
 }
 
+void conv_direct(const float* image, const conv_geometry& g,
+                 const float* weight, std::int64_t out_c, float* out) {
+  if (g.stride != 1 || g.pad != 0) {
+    throw std::invalid_argument{"conv_direct: needs stride 1 and pad 0"};
+  }
+  const std::int64_t n = g.col_cols();
+  const std::int64_t k = g.col_rows();
+  if (out_c <= 0 || n <= 0) return;
+  // Below the tiling cutoff gemm_nn runs one unbroken chain per element,
+  // which differs from the panel chain only when k spans two panels: an
+  // image of at most two output pixels. Those take the GEMM itself.
+  if (2 * n * k < TILED_MIN_ROW_FLOPS && k > KC) {
+    thread_local std::vector<float> col;
+    col.resize(static_cast<std::size_t>(n * k));
+    im2col(image, g, col.data());
+    gemm_nn(out_c, n, k, 1.0f, weight, col.data(), 0.0f, out);
+    return;
+  }
+  simd_kernels().conv_direct(image, g, weight, out_c, out);
+}
+
 void col2im(const float* col, const conv_geometry& g, float* image) {
   simd_kernels().col2im(col, g, image);
 }
@@ -277,6 +298,11 @@ double array_sum(const float* x, std::int64_t n) {
 
 void add_scalar(float* x, std::int64_t n, float c) {
   simd_kernels().add_scalar(x, n, c);
+}
+
+void bn_relu(const float* x, std::int64_t n, float mean, float inv_std,
+             float gamma, float beta, float* out) {
+  simd_kernels().bn_relu(x, n, mean, inv_std, gamma, beta, out);
 }
 
 }  // namespace dv

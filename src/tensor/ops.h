@@ -8,11 +8,12 @@
 // bit-identical for any DV_THREADS setting: row blocks write disjoint rows
 // of C and the k-accumulation order is fixed by the panel loop structure.
 //
-// The inner loops (micro-kernel, im2col/col2im, reductions) route through
-// the runtime-dispatched SIMD table in tensor/simd/simd.h; results are
-// additionally bit-identical for any DV_SIMD level because every variant
-// runs the same per-element operations and the same fixed 8-lane
-// reduction order (see `simd_reduce_lanes`).
+// The inner loops (micro-kernel, direct convolution, im2col/col2im,
+// reductions) route through the runtime-dispatched SIMD table in
+// tensor/simd/simd.h; results are additionally bit-identical for any
+// DV_SIMD level because every variant runs the same per-element
+// operations and the same fixed 8-lane reduction order (see
+// `simd_reduce_lanes`).
 #pragma once
 
 #include <cstdint>
@@ -52,6 +53,15 @@ struct conv_geometry {
 /// `col` must hold col_rows()*col_cols() floats.
 void im2col(const float* image, const conv_geometry& g, float* col);
 
+/// Convolves one CHW image whose zero padding, if any, is already written
+/// in (`g` must have stride 1 and pad 0) straight into
+/// out[out_c, g.col_cols()], with weight [out_c, g.col_rows()]. Bitwise
+/// equal to im2col(image, g, col) then gemm_nn(out_c, g.col_cols(),
+/// g.col_rows(), 1, weight, col, 0, out) at every DV_SIMD level, without
+/// the col matrix.
+void conv_direct(const float* image, const conv_geometry& g,
+                 const float* weight, std::int64_t out_c, float* out);
+
 /// Accumulates a col matrix back into a CHW image gradient (adjoint of
 /// im2col). `image` must be zeroed by the caller if accumulation from zero is
 /// desired.
@@ -88,5 +98,12 @@ double array_sum(const float* x, std::int64_t n);
 
 /// x[i] += c for i in [0, n).
 void add_scalar(float* x, std::int64_t n, float c);
+
+/// out[i] = relu(gamma * ((x[i] - mean) * inv_std) + beta) for i in [0, n):
+/// batch_norm::infer's arithmetic then relu::infer's on one row of a
+/// channel, each step rounded to float, so NaN and -0 map to +0. `x` and
+/// `out` may be the same array.
+void bn_relu(const float* x, std::int64_t n, float mean, float inv_std,
+             float gamma, float beta, float* out);
 
 }  // namespace dv

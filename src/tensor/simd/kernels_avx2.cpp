@@ -4,7 +4,8 @@
 //
 // Reductions run the canonical 8-lane order as two 4-wide double
 // accumulators; the micro-kernel holds the whole 4x16 tile in eight ymm
-// registers. Although -mfma is on per the build contract, the kernels use
+// registers, and the direct convolution up to 6 channels x 16 pixels in
+// twelve. Although -mfma is on per the build contract, the kernels use
 // separate mul+add on purpose: fusing rounds once where the scalar
 // reference rounds twice, which would break the DV_SIMD bitwise-identity
 // contract (DESIGN.md §12).
@@ -76,6 +77,102 @@ void gemm_micro_avx2(std::int64_t kc, const float* ap, const float* bp,
   _mm256_storeu_ps(acc + 40, c21);
   _mm256_storeu_ps(acc + 48, c30);
   _mm256_storeu_ps(acc + 56, c31);
+}
+
+/// One register tile of conv_direct: MO output channels x NV 8-pixel
+/// vectors of one output row. `src` is the image at the tile's first
+/// output pixel, `w` the weight row of its first channel and `dst` its
+/// first output element; `out_plane` is the output channel stride. Each
+/// lane runs conv_direct_cols_generic's chain.
+template <int MO, int NV>
+void conv_direct_tile_avx2(const float* src, const conv_geometry& g,
+                           const float* w, float* dst,
+                           std::int64_t out_plane) {
+  const std::int64_t taps = g.col_rows();
+  const std::int64_t plane = g.in_h * g.in_w;
+  __m256 acc[MO][NV];
+  std::int64_t c = 0, ky = 0, kx = 0;
+  for (std::int64_t p0 = 0; p0 < taps; p0 += simd_gemm_kc) {
+    const std::int64_t p1 = std::min(taps, p0 + simd_gemm_kc);
+    for (int mo = 0; mo < MO; ++mo) {
+      for (int v = 0; v < NV; ++v) acc[mo][v] = _mm256_setzero_ps();
+    }
+    for (std::int64_t p = p0; p < p1; ++p) {
+      const float* row = src + c * plane + ky * g.in_w + kx;
+      __m256 x[NV];
+      for (int v = 0; v < NV; ++v) x[v] = _mm256_loadu_ps(row + 8 * v);
+      for (int mo = 0; mo < MO; ++mo) {
+        const __m256 wv = _mm256_broadcast_ss(w + mo * taps + p);
+        for (int v = 0; v < NV; ++v) {
+          acc[mo][v] = _mm256_add_ps(acc[mo][v], _mm256_mul_ps(wv, x[v]));
+        }
+      }
+      if (++kx == g.kernel) {
+        kx = 0;
+        if (++ky == g.kernel) {
+          ky = 0;
+          ++c;
+        }
+      }
+    }
+    for (int mo = 0; mo < MO; ++mo) {
+      for (int v = 0; v < NV; ++v) {
+        float* d = dst + mo * out_plane + 8 * v;
+        const __m256 base = p0 == 0 ? _mm256_setzero_ps() : _mm256_loadu_ps(d);
+        _mm256_storeu_ps(d, _mm256_add_ps(base, acc[mo][v]));
+      }
+    }
+  }
+}
+
+/// Every output channel of the NV-vector column block at (oy, x): tiles
+/// of six channels, then one tile for the remainder.
+template <int NV>
+void conv_direct_block_avx2(const float* src, const conv_geometry& g,
+                            const float* weight, std::int64_t out_c,
+                            float* dst, std::int64_t out_plane) {
+  const std::int64_t taps = g.col_rows();
+  std::int64_t o = 0;
+  for (; o + 6 <= out_c; o += 6) {
+    conv_direct_tile_avx2<6, NV>(src, g, weight + o * taps,
+                                 dst + o * out_plane, out_plane);
+  }
+  const float* w = weight + o * taps;
+  float* d = dst + o * out_plane;
+  switch (out_c - o) {
+    case 5: conv_direct_tile_avx2<5, NV>(src, g, w, d, out_plane); break;
+    case 4: conv_direct_tile_avx2<4, NV>(src, g, w, d, out_plane); break;
+    case 3: conv_direct_tile_avx2<3, NV>(src, g, w, d, out_plane); break;
+    case 2: conv_direct_tile_avx2<2, NV>(src, g, w, d, out_plane); break;
+    case 1: conv_direct_tile_avx2<1, NV>(src, g, w, d, out_plane); break;
+    default: break;
+  }
+}
+
+/// Column blocks of 16 then 8 pixels per output row; the last (ow mod 8)
+/// columns run the generic chain.
+void conv_direct_avx2(const float* image, const conv_geometry& g,
+                      const float* weight, std::int64_t out_c, float* out) {
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  const std::int64_t out_plane = oh * ow;
+  const std::int64_t ow16 = ow - ow % 16;
+  const std::int64_t ow8 = ow - ow % 8;
+  for (std::int64_t oy = 0; oy < oh; ++oy) {
+    const float* src = image + oy * g.in_w;
+    float* dst = out + oy * ow;
+    for (std::int64_t x = 0; x < ow16; x += 16) {
+      conv_direct_block_avx2<2>(src + x, g, weight, out_c, dst + x, out_plane);
+    }
+    if (ow16 < ow8) {
+      conv_direct_block_avx2<1>(src + ow16, g, weight, out_c, dst + ow16,
+                                out_plane);
+    }
+  }
+  if (ow8 < ow) {
+    simd_detail::conv_direct_cols_generic(image, g, weight, out_c, ow8, ow,
+                                          out);
+  }
 }
 
 double squared_distance_avx2(const float* a, const float* b, std::int64_t n) {
@@ -173,6 +270,24 @@ void add_scalar_avx2(float* x, std::int64_t n, float c) {
   for (std::int64_t i = n8; i < n; ++i) x[i] += c;
 }
 
+void bn_relu_avx2(const float* x, std::int64_t n, float mean, float inv_std,
+                  float gamma, float beta, float* out) {
+  const __m256 m = _mm256_set1_ps(mean);
+  const __m256 s = _mm256_set1_ps(inv_std);
+  const __m256 g = _mm256_set1_ps(gamma);
+  const __m256 b = _mm256_set1_ps(beta);
+  const __m256 zero = _mm256_setzero_ps();
+  const std::int64_t n8 = n - n % 8;
+  for (std::int64_t i = 0; i < n8; i += 8) {
+    const __m256 h = _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + i), m), s);
+    const __m256 o = _mm256_add_ps(_mm256_mul_ps(g, h), b);
+    _mm256_storeu_ps(out + i, _mm256_max_ps(o, zero));
+  }
+  for (std::int64_t i = n8; i < n; ++i) {
+    out[i] = simd_detail::bn_relu_one(x[i], mean, inv_std, gamma, beta);
+  }
+}
+
 void add_rows_avx2(float* dst, const float* src, std::int64_t n) {
   const std::int64_t n8 = n - n % 8;
   for (std::int64_t i = 0; i < n8; i += 8) {
@@ -194,9 +309,11 @@ extern const simd_kernel_table k_simd_table_avx2;
 const simd_kernel_table k_simd_table_avx2 = {
     simd_level::avx2,
     gemm_micro_avx2,
+    conv_direct_avx2,
     simd_detail::im2col_shared,
     col2im_avx2,
     add_scalar_avx2,
+    bn_relu_avx2,
     array_sum_avx2,
     squared_distance_avx2,
     squared_distance_row_avx2,

@@ -43,6 +43,63 @@ inline void gemm_micro_generic(std::int64_t kc, const float* ap,
   }
 }
 
+/// conv_direct over output columns [x0, x1) of every output row and
+/// channel. Each output element runs exactly the chain the tiled GEMM runs
+/// on the im2col matrix: `acc` starts at +0 and adds weight * tap for taps
+/// p = (c, ky, kx) in ascending order, one separate multiply and add per
+/// step; every simd_gemm_kc taps the chain's sum folds onto the output
+/// (zero before the first fold) and `acc` restarts at +0. The vector
+/// variants run the same chain per lane and call this for their column
+/// tails; here the column loop is innermost so each step is one pass over
+/// a row of independent accumulators.
+inline void conv_direct_cols_generic(const float* image, const conv_geometry& g,
+                                     const float* weight, std::int64_t out_c,
+                                     std::int64_t x0, std::int64_t x1,
+                                     float* out) {
+  constexpr std::int64_t chunk = 64;
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  const std::int64_t taps = g.col_rows();
+  const std::int64_t plane = g.in_h * g.in_w;
+  float acc[chunk];
+  for (std::int64_t o = 0; o < out_c; ++o) {
+    const float* w = weight + o * taps;
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t xc = x0; xc < x1; xc += chunk) {
+        const std::int64_t len = std::min(chunk, x1 - xc);
+        const float* src = image + oy * g.in_w + xc;
+        float* dst = out + (o * oh + oy) * ow + xc;
+        std::int64_t c = 0, ky = 0, kx = 0;
+        for (std::int64_t p0 = 0; p0 < taps; p0 += simd_gemm_kc) {
+          const std::int64_t p1 = std::min(taps, p0 + simd_gemm_kc);
+          std::fill_n(acc, len, 0.0f);
+          for (std::int64_t p = p0; p < p1; ++p) {
+            const float wv = w[p];
+            const float* row = src + c * plane + ky * g.in_w + kx;
+            for (std::int64_t l = 0; l < len; ++l) acc[l] += wv * row[l];
+            if (++kx == g.kernel) {
+              kx = 0;
+              if (++ky == g.kernel) {
+                ky = 0;
+                ++c;
+              }
+            }
+          }
+          for (std::int64_t l = 0; l < len; ++l) {
+            dst[l] = (p0 == 0 ? 0.0f : dst[l]) + acc[l];
+          }
+        }
+      }
+    }
+  }
+}
+
+inline void conv_direct_generic(const float* image, const conv_geometry& g,
+                                const float* weight, std::int64_t out_c,
+                                float* out) {
+  conv_direct_cols_generic(image, g, weight, out_c, 0, g.out_w(), out);
+}
+
 inline double squared_distance_generic(const float* a, const float* b,
                                        std::int64_t n) {
   double lane[simd_reduce_lanes] = {};
@@ -129,6 +186,25 @@ inline double array_sum_generic(const float* x, std::int64_t n) {
 
 inline void add_scalar_generic(float* x, std::int64_t n, float c) {
   for (std::int64_t i = 0; i < n; ++i) x[i] += c;
+}
+
+/// batch_norm::infer's per-element arithmetic then relu::infer's. The
+/// vector variants compute the same three roundings and take
+/// max(o, 0) with the zero second, which returns +0 for NaN and -0
+/// exactly as `o > 0 ? o : 0` does.
+inline float bn_relu_one(float x, float mean, float inv_std, float gamma,
+                         float beta) {
+  const float h = (x - mean) * inv_std;
+  const float o = gamma * h + beta;
+  return o > 0.0f ? o : 0.0f;
+}
+
+inline void bn_relu_generic(const float* x, std::int64_t n, float mean,
+                            float inv_std, float gamma, float beta,
+                            float* out) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    out[i] = bn_relu_one(x[i], mean, inv_std, gamma, beta);
+  }
 }
 
 /// im2col is pure data movement (copies and zero fills), so one shared

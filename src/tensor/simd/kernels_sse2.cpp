@@ -5,7 +5,8 @@
 //
 // Reductions run the canonical 8-lane order as four 2-wide double
 // accumulators; the micro-kernel processes the 4x16 tile in four 4-column
-// passes. No FMA anywhere (see DESIGN.md §12).
+// passes, and the direct convolution holds up to 6 channels x 8 pixels in
+// twelve xmm registers. No FMA anywhere (see DESIGN.md §12).
 #include "tensor/simd/kernels_generic.h"
 #include "tensor/simd/simd.h"
 
@@ -59,6 +60,99 @@ void gemm_micro_sse2(std::int64_t kc, const float* ap, const float* bp,
     _mm_storeu_ps(acc1, c1);
     _mm_storeu_ps(acc2, c2);
     _mm_storeu_ps(acc3, c3);
+  }
+}
+
+/// One register tile of conv_direct: MO output channels x NV 4-pixel
+/// vectors of one output row (see conv_direct_tile_avx2).
+template <int MO, int NV>
+void conv_direct_tile_sse2(const float* src, const conv_geometry& g,
+                           const float* w, float* dst,
+                           std::int64_t out_plane) {
+  const std::int64_t taps = g.col_rows();
+  const std::int64_t plane = g.in_h * g.in_w;
+  __m128 acc[MO][NV];
+  std::int64_t c = 0, ky = 0, kx = 0;
+  for (std::int64_t p0 = 0; p0 < taps; p0 += simd_gemm_kc) {
+    const std::int64_t p1 = std::min(taps, p0 + simd_gemm_kc);
+    for (int mo = 0; mo < MO; ++mo) {
+      for (int v = 0; v < NV; ++v) acc[mo][v] = _mm_setzero_ps();
+    }
+    for (std::int64_t p = p0; p < p1; ++p) {
+      const float* row = src + c * plane + ky * g.in_w + kx;
+      __m128 x[NV];
+      for (int v = 0; v < NV; ++v) x[v] = _mm_loadu_ps(row + 4 * v);
+      for (int mo = 0; mo < MO; ++mo) {
+        const __m128 wv = _mm_set1_ps(w[mo * taps + p]);
+        for (int v = 0; v < NV; ++v) {
+          acc[mo][v] = _mm_add_ps(acc[mo][v], _mm_mul_ps(wv, x[v]));
+        }
+      }
+      if (++kx == g.kernel) {
+        kx = 0;
+        if (++ky == g.kernel) {
+          ky = 0;
+          ++c;
+        }
+      }
+    }
+    for (int mo = 0; mo < MO; ++mo) {
+      for (int v = 0; v < NV; ++v) {
+        float* d = dst + mo * out_plane + 4 * v;
+        const __m128 base = p0 == 0 ? _mm_setzero_ps() : _mm_loadu_ps(d);
+        _mm_storeu_ps(d, _mm_add_ps(base, acc[mo][v]));
+      }
+    }
+  }
+}
+
+/// Every output channel of the NV-vector column block at (oy, x): tiles
+/// of six channels, then one tile for the remainder.
+template <int NV>
+void conv_direct_block_sse2(const float* src, const conv_geometry& g,
+                            const float* weight, std::int64_t out_c,
+                            float* dst, std::int64_t out_plane) {
+  const std::int64_t taps = g.col_rows();
+  std::int64_t o = 0;
+  for (; o + 6 <= out_c; o += 6) {
+    conv_direct_tile_sse2<6, NV>(src, g, weight + o * taps,
+                                 dst + o * out_plane, out_plane);
+  }
+  const float* w = weight + o * taps;
+  float* d = dst + o * out_plane;
+  switch (out_c - o) {
+    case 5: conv_direct_tile_sse2<5, NV>(src, g, w, d, out_plane); break;
+    case 4: conv_direct_tile_sse2<4, NV>(src, g, w, d, out_plane); break;
+    case 3: conv_direct_tile_sse2<3, NV>(src, g, w, d, out_plane); break;
+    case 2: conv_direct_tile_sse2<2, NV>(src, g, w, d, out_plane); break;
+    case 1: conv_direct_tile_sse2<1, NV>(src, g, w, d, out_plane); break;
+    default: break;
+  }
+}
+
+/// Column blocks of 8 then 4 pixels per output row; the last (ow mod 4)
+/// columns run the generic chain.
+void conv_direct_sse2(const float* image, const conv_geometry& g,
+                      const float* weight, std::int64_t out_c, float* out) {
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  const std::int64_t out_plane = oh * ow;
+  const std::int64_t ow8 = ow - ow % 8;
+  const std::int64_t ow4 = ow - ow % 4;
+  for (std::int64_t oy = 0; oy < oh; ++oy) {
+    const float* src = image + oy * g.in_w;
+    float* dst = out + oy * ow;
+    for (std::int64_t x = 0; x < ow8; x += 8) {
+      conv_direct_block_sse2<2>(src + x, g, weight, out_c, dst + x, out_plane);
+    }
+    if (ow8 < ow4) {
+      conv_direct_block_sse2<1>(src + ow8, g, weight, out_c, dst + ow8,
+                                out_plane);
+    }
+  }
+  if (ow4 < ow) {
+    simd_detail::conv_direct_cols_generic(image, g, weight, out_c, ow4, ow,
+                                          out);
   }
 }
 
@@ -187,6 +281,24 @@ void add_scalar_sse2(float* x, std::int64_t n, float c) {
   for (std::int64_t i = n4; i < n; ++i) x[i] += c;
 }
 
+void bn_relu_sse2(const float* x, std::int64_t n, float mean, float inv_std,
+                  float gamma, float beta, float* out) {
+  const __m128 m = _mm_set1_ps(mean);
+  const __m128 s = _mm_set1_ps(inv_std);
+  const __m128 g = _mm_set1_ps(gamma);
+  const __m128 b = _mm_set1_ps(beta);
+  const __m128 zero = _mm_setzero_ps();
+  const std::int64_t n4 = n - n % 4;
+  for (std::int64_t i = 0; i < n4; i += 4) {
+    const __m128 h = _mm_mul_ps(_mm_sub_ps(_mm_loadu_ps(x + i), m), s);
+    const __m128 o = _mm_add_ps(_mm_mul_ps(g, h), b);
+    _mm_storeu_ps(out + i, _mm_max_ps(o, zero));
+  }
+  for (std::int64_t i = n4; i < n; ++i) {
+    out[i] = simd_detail::bn_relu_one(x[i], mean, inv_std, gamma, beta);
+  }
+}
+
 void add_rows_sse2(float* dst, const float* src, std::int64_t n) {
   const std::int64_t n4 = n - n % 4;
   for (std::int64_t i = 0; i < n4; i += 4) {
@@ -213,9 +325,11 @@ const simd_kernel_table k_simd_table_sse2 = {
     simd_level::sse2,
 #if defined(__SSE2__)
     gemm_micro_sse2,
+    conv_direct_sse2,
     simd_detail::im2col_shared,
     col2im_sse2,
     add_scalar_sse2,
+    bn_relu_sse2,
     array_sum_sse2,
     squared_distance_sse2,
     squared_distance_row_sse2,
@@ -224,9 +338,11 @@ const simd_kernel_table k_simd_table_sse2 = {
     l1_distance_sse2,
 #else
     simd_detail::gemm_micro_generic,
+    simd_detail::conv_direct_generic,
     simd_detail::im2col_shared,
     simd_detail::col2im_generic,
     simd_detail::add_scalar_generic,
+    simd_detail::bn_relu_generic,
     simd_detail::array_sum_generic,
     simd_detail::squared_distance_generic,
     simd_detail::squared_distance_row_generic,

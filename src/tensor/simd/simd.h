@@ -1,5 +1,6 @@
 // SIMD kernel layer: runtime-dispatched vector variants of the hot loops
-// (GEMM micro-kernel, im2col/col2im, distance/dot/sum reductions).
+// (GEMM micro-kernel, direct convolution, im2col/col2im, distance/dot/sum
+// reductions).
 //
 // A one-time cpuid probe (util/cpuid.h) selects the widest supported table
 // at startup; `DV_SIMD` (`scalar|sse2|avx2|auto`) overrides the choice, and
@@ -33,6 +34,12 @@ enum class simd_level : int { scalar = 0, sse2 = 1, avx2 = 2 };
 /// tensor/ops.cpp and every micro-kernel variant.
 inline constexpr std::int64_t simd_gemm_mr = 4;
 inline constexpr std::int64_t simd_gemm_nr = 16;
+/// GEMM k-panel width. Each output element of the tiled GEMM accumulates
+/// one chain per panel of this many products, starting at +0, and folds
+/// the panel sums in order onto the zeroed output; conv_direct restarts
+/// its chains at the same width, which is what makes it bitwise equal to
+/// im2col + gemm_nn.
+inline constexpr std::int64_t simd_gemm_kc = 256;
 
 /// Fixed lane count for horizontal reductions. Lane l accumulates
 /// elements l, l+8, l+16, ... in index order; the remaining (n mod 8)
@@ -54,6 +61,14 @@ struct simd_kernel_table {
   void (*gemm_micro_kernel)(std::int64_t kc, const float* ap, const float* bp,
                             float* acc){nullptr};
 
+  /// Stride-1, pad-0 convolution of one CHW image straight into
+  /// out[out_c, out_h * out_w], weight [out_c, col_rows] (see conv_direct
+  /// in tensor/ops.h). Each output element sums its taps p = (c, ky, kx)
+  /// in ascending order, restarting the chain every simd_gemm_kc taps.
+  void (*conv_direct)(const float* image, const conv_geometry& g,
+                      const float* weight, std::int64_t out_c,
+                      float* out){nullptr};
+
   /// Unfolds one CHW image into the [col_rows, col_cols] im2col matrix.
   void (*im2col)(const float* image, const conv_geometry& g,
                  float* col){nullptr};
@@ -64,6 +79,12 @@ struct simd_kernel_table {
 
   /// x[i] += c for i in [0, n).
   void (*add_scalar)(float* x, std::int64_t n, float c){nullptr};
+
+  /// out[i] = relu(gamma * ((x[i] - mean) * inv_std) + beta) for i in
+  /// [0, n), each step rounded to float; NaN and -0 map to +0 (see bn_relu
+  /// in tensor/ops.h).
+  void (*bn_relu)(const float* x, std::int64_t n, float mean, float inv_std,
+                  float gamma, float beta, float* out){nullptr};
 
   /// sum_i x[i] in the 8-lane canonical order.
   double (*array_sum)(const float* x, std::int64_t n){nullptr};

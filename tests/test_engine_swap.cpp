@@ -476,5 +476,74 @@ TEST(NonfiniteFrames, FailClosedOnEveryServingSurface) {
   metrics::set_enabled(metrics_were_on);
 }
 
+/// The frame-level checks shared by every direct scoring call: a
+/// non-finite frame scores a joint of +inf and is invalid under `dv`'s
+/// threshold; a finite frame keeps the bits of `expected`.
+void expect_direct_joint(double got, std::size_t i, const poisoned_stream& in,
+                         const validation_scores& expected,
+                         const deep_validator& dv) {
+  SCOPED_TRACE(i);
+  if (in.nonfinite[i]) {
+    EXPECT_EQ(got, std::numeric_limits<double>::infinity());
+    EXPECT_TRUE(dv.flags_invalid(got));
+    return;
+  }
+  EXPECT_TRUE(same_bits(got, expected.joint[i]));
+}
+
+TEST(NonfiniteFrames, FailClosedOnEveryDirectScoringCall) {
+  const auto& world = shared_tiny_world();
+  const poisoned_stream in = poisoned_frames(24);
+  const auto n = static_cast<std::int64_t>(in.nonfinite.size());
+  // The activation-batch path never looks at the frames, so it holds
+  // today's bits for every row.
+  const validation_scores expected =
+      fitted_validator().evaluate(extract_activations(*world.model, in.frames));
+  // At a threshold no joint reaches, only a fail-closed frame is invalid.
+  deep_validator lax = fitted_validator();
+  lax.set_threshold(std::numeric_limits<double>::max());
+  const deep_validator* const validators[] = {&fitted_validator(), &lax};
+  for (const deep_validator* dv : validators) {
+    SCOPED_TRACE(dv->threshold());
+    // deep_validator::evaluate over the whole batch.
+    const validation_scores got = dv->evaluate(*world.model, in.frames);
+    ASSERT_EQ(got.joint.size(), in.nonfinite.size());
+    for (std::size_t i = 0; i < got.joint.size(); ++i) {
+      expect_direct_joint(got.joint[i], i, in, expected, *dv);
+      EXPECT_EQ(got.predictions[i], expected.predictions[i]);
+      for (std::size_t l = 0; l < expected.per_layer.size(); ++l) {
+        EXPECT_TRUE(same_bits(got.per_layer[l][i], expected.per_layer[l][i]));
+      }
+    }
+    // joint_discrepancy, one frame at a time.
+    for (std::int64_t i = 0; i < n; ++i) {
+      const double joint =
+          dv->joint_discrepancy(*world.model, in.frames.sample(i));
+      expect_direct_joint(joint, static_cast<std::size_t>(i), in, expected,
+                          *dv);
+    }
+    // runtime_monitor::observe and observe_batch: a non-finite frame is
+    // folded as invalid and flagged.
+    runtime_monitor monitor{*world.model, *dv};
+    std::vector<monitor_verdict> verdicts;
+    for (std::int64_t i = 0; i < n; ++i) {
+      verdicts.push_back(monitor.observe(in.frames.sample(i)));
+    }
+    monitor.reset();
+    const std::vector<monitor_verdict> batched =
+        monitor.observe_batch(in.frames);
+    ASSERT_EQ(batched.size(), verdicts.size());
+    for (std::size_t i = 0; i < verdicts.size(); ++i) {
+      for (const monitor_verdict& v : {verdicts[i], batched[i]}) {
+        expect_direct_joint(v.discrepancy, i, in, expected, *dv);
+        EXPECT_EQ(v.nonfinite, in.nonfinite[i]) << i;
+        EXPECT_EQ(v.frame_invalid,
+                  in.nonfinite[i] || dv->flags_invalid(expected.joint[i]))
+            << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dv

@@ -108,15 +108,45 @@ struct layer_case {
 
 std::vector<tensor> output_only(const tensor& out) { return {out}; }
 
-/// Batch norm with non-trivial running statistics and affine parameters,
-/// as after training.
-std::unique_ptr<layer> trained_batch_norm(std::int64_t channels) {
-  auto bn = std::make_unique<batch_norm>(channels);
+/// Gives every batch norm inside `l` non-trivial running statistics and
+/// affine parameters, as after training. state() lists each batch norm's
+/// running mean, then its running variance.
+std::unique_ptr<layer> with_trained_batch_norms(std::unique_ptr<layer> l) {
   rng gen{41};
-  bn->running_mean() = tensor::randn({channels}, gen, 0.5f);
-  bn->running_var() = tensor::uniform({channels}, gen, 0.5f, 2.0f);
-  for (const auto& p : bn->params()) *p.value = tensor::randn({channels}, gen);
-  return bn;
+  const std::vector<tensor*> state = l->state();
+  for (std::size_t i = 0; i + 1 < state.size(); i += 2) {
+    *state[i] = tensor::randn(state[i]->shape(), gen, 0.5f);
+    *state[i + 1] = tensor::uniform(state[i + 1]->shape(), gen, 0.5f, 2.0f);
+  }
+  for (const param_ref& p : l->params()) {
+    if (p.name == "gamma" || p.name == "beta") {
+      *p.value = tensor::randn(p.value->shape(), gen);
+    }
+  }
+  return l;
+}
+
+/// A dense block with trained batch norms and every unit probed.
+std::unique_ptr<layer> trained_block(std::int64_t in_c, std::int64_t growth,
+                                     int units) {
+  rng gen{5};
+  auto block = std::make_unique<dense_block>(in_c, growth, units, gen);
+  block->set_unit_probes(-1);
+  return with_trained_batch_norms(std::move(block));
+}
+
+/// Block probes: every unit's new feature maps (channels in_c + growth * u
+/// onward of the output), then the block output.
+std::function<std::vector<tensor>(const tensor&)> block_probes(
+    std::int64_t in_c, std::int64_t growth, int units) {
+  return [=](const tensor& y) {
+    std::vector<tensor> probes;
+    for (int u = 0; u < units; ++u) {
+      probes.push_back(channel_slice(y, in_c + growth * u, growth));
+    }
+    probes.push_back(y);
+    return probes;
+  };
 }
 
 std::vector<layer_case> layer_cases() {
@@ -174,37 +204,41 @@ std::vector<layer_case> layer_cases() {
                  [] { return std::make_unique<global_avg_pool>(); },
                  {3, 5, 6},
                  output_only});
-  out.push_back({"batch_norm_spatial", [] { return trained_batch_norm(3); },
+  out.push_back({"batch_norm_spatial",
+                 [] {
+                   return with_trained_batch_norms(
+                       std::make_unique<batch_norm>(3));
+                 },
                  {3, 5, 5},
                  output_only});
-  out.push_back({"batch_norm_dense", [] { return trained_batch_norm(9); },
+  out.push_back({"batch_norm_dense",
+                 [] {
+                   return with_trained_batch_norms(
+                       std::make_unique<batch_norm>(9));
+                 },
                  {9},
                  output_only});
-  // Block probes: every unit's new feature maps (channels 4 + 3u onward of
-  // the output), then the block output.
-  out.push_back({"dense_block",
-                 [] {
-                   rng gen{5};
-                   auto block = std::make_unique<dense_block>(4, 3, 3, gen);
-                   block->set_unit_probes(-1);
-                   return block;
-                 },
-                 {4, 6, 6},
-                 [](const tensor& y) {
-                   std::vector<tensor> probes;
-                   for (std::int64_t u = 0; u < 3; ++u) {
-                     probes.push_back(channel_slice(y, 4 + 3 * u, 3));
-                   }
-                   probes.push_back(y);
-                   return probes;
-                 }});
-  out.push_back({"transition",
-                 [] {
-                   rng gen{6};
-                   return std::make_unique<transition>(6, 3, gen);
-                 },
-                 {6, 8, 8},
-                 output_only});
+  // The composites run the fused inference path, so they get trained
+  // batch norms, widths that leave every vector tail of the direct
+  // convolution (5, 7, 9, 33, plus whole vectors at 6 and 16), and a
+  // block whose units have K = 270 and 324 taps: two k panels.
+  for (const std::int64_t w : {6, 5, 7, 9, 16, 33}) {
+    const std::string at = w == 6 ? "" : "_w" + std::to_string(w);
+    out.push_back({"dense_block" + at, [] { return trained_block(4, 3, 3); },
+                   {4, 6, w}, block_probes(4, 3, 3)});
+    out.push_back({"transition" + at,
+                   [] {
+                     rng gen{6};
+                     return with_trained_batch_norms(
+                         std::make_unique<transition>(6, 3, gen));
+                   },
+                   {6, 8, w},
+                   output_only});
+  }
+  out.push_back({"dense_block_two_k_panels",
+                 [] { return trained_block(30, 6, 2); },
+                 {30, 5, 9},
+                 block_probes(30, 6, 2)});
   return out;
 }
 

@@ -1,14 +1,17 @@
 // Tests of the SIMD dispatch layer (tensor/simd/simd.h): level selection
 // and DV_SIMD startup semantics, plus the bitwise-identity contract — every
 // supported dispatch level must produce byte-identical results for GEMM,
-// conv2d forward/backward, RBF kernel rows, decision_batch, the reduction
-// primitives, and full deep_validator scores, across DV_THREADS {1, 8}.
+// conv2d forward/backward, the direct convolution (which must also equal
+// im2col + GEMM), BN -> ReLU staging, RBF kernel rows, decision_batch, the
+// reduction primitives, and full deep_validator scores, across DV_THREADS
+// {1, 8}.
 // Levels the host cannot run are skipped, never failed.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -235,6 +238,92 @@ TEST(SimdIdentity, Conv2dForwardBackwardBitIdenticalAcrossLevelsAndThreads) {
             << "conv tensor " << i << " at " << simd_level_name(level)
             << " threads=" << threads;
       }
+    }
+  }
+}
+
+// -- Direct convolution and BN -> ReLU staging -------------------------------------
+
+/// Standard normal values with -0, denormals and exact zeros planted at
+/// seeded positions, so the chains see every signed-zero and subnormal
+/// case the ReLU'd activations can hold.
+tensor planted_randn(const std::vector<std::int64_t>& shape, rng& gen) {
+  tensor t = tensor::randn(shape, gen);
+  const float planted[] = {-0.0f, 0.0f,
+                           std::numeric_limits<float>::denorm_min(),
+                           -std::numeric_limits<float>::denorm_min(),
+                           std::numeric_limits<float>::min() / 4.0f};
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    const int pick = gen.uniform_int(0, 9);
+    if (pick < 5) t.data()[i] = planted[pick];
+  }
+  return t;
+}
+
+TEST(SimdIdentity, ConvDirectMatchesIm2colGemmAtEveryLevelAndThreadCount) {
+  simd_state_guard guard;
+  for (const auto level : supported_levels()) {
+    for (const int threads : {1, 8}) {
+      set_simd_level(level);
+      set_thread_count(threads);
+      rng gen{61};
+      int cases = 0;
+      for (const std::int64_t k : {1, 3}) {
+        for (std::int64_t c = 1; c <= 40; ++c) {
+          for (std::int64_t w = 1; w <= 33; ++w) {
+            // Every channel count and every width, without the full
+            // product; heights 1-3 and 1-13 output channels (whole
+            // six-channel tiles plus each remainder). c >= 29 at k = 3
+            // spans two k panels, and a 1x1 or 1x2 output of such a conv
+            // takes the GEMM fallback.
+            if ((c + w) % 4 != 0) continue;
+            const std::int64_t h = 1 + (c + w) % 3;
+            const std::int64_t out_c = 1 + c % 13;
+            const conv_geometry g{c, h + k - 1, w + k - 1, k, 1, 0};
+            const tensor image = planted_randn({c, g.in_h, g.in_w}, gen);
+            const tensor weight = planted_randn({out_c, g.col_rows()}, gen);
+            tensor col{{g.col_rows(), g.col_cols()}};
+            im2col(image.data(), g, col.data());
+            tensor want{{out_c, h, w}};
+            gemm_nn(out_c, g.col_cols(), g.col_rows(), 1.0f, weight.data(),
+                    col.data(), 0.0f, want.data());
+            tensor got = tensor::full({out_c, h, w}, 7.0f);
+            conv_direct(image.data(), g, weight.data(), out_c, got.data());
+            EXPECT_TRUE(bitwise_equal(got, want))
+                << "k=" << k << " c=" << c << " h=" << h << " w=" << w
+                << " out_c=" << out_c << " at " << simd_level_name(level)
+                << " threads=" << threads;
+            ++cases;
+          }
+        }
+      }
+      EXPECT_EQ(cases, 660);
+    }
+  }
+}
+
+TEST(SimdIdentity, BnReluMatchesBatchNormThenRelu) {
+  simd_state_guard guard;
+  rng gen{67};
+  for (std::int64_t n = 1; n <= 33; ++n) {
+    tensor x = planted_randn({n}, gen);
+    x.data()[0] = std::numeric_limits<float>::quiet_NaN();
+    if (n > 1) x.data()[n - 1] = -std::numeric_limits<float>::infinity();
+    const float mean = 0.3f, inv_std = 1.7f, gamma = -0.8f, beta = 0.05f;
+    tensor want{{n}};
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float h = (x[i] - mean) * inv_std;
+      const float o = gamma * h + beta;
+      want.data()[i] = o > 0.0f ? o : 0.0f;
+    }
+    for (const auto level : supported_levels()) {
+      tensor got{{n}};
+      at_level(level, 1, [&] {
+        bn_relu(x.data(), n, mean, inv_std, gamma, beta, got.data());
+        return 0;
+      });
+      EXPECT_TRUE(bitwise_equal(got, want))
+          << "n=" << n << " at " << simd_level_name(level);
     }
   }
 }
