@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Runs the core kernel microbenchmarks (BENCH_perf_core.json) and the
-# serving-layer benchmark (BENCH_serve.json) so the perf trajectory is
-# tracked across PRs.
+# Runs the core kernel microbenchmarks and writes BENCH_perf_core.json,
+# so the kernel perf trajectory is tracked across commits. End-to-end
+# serving numbers come from perfbench (perfbench/README.md;
+# scripts/perf_pairs.py compares two checkouts).
 #
 # Usage: scripts/run_perf_bench.sh [extra google-benchmark flags...]
 # e.g.   scripts/run_perf_bench.sh --benchmark_filter='bm_gemm.*'
@@ -9,7 +10,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build -S . >/dev/null
-cmake --build build -j --target bench_perf_core --target bench_serve >/dev/null
+cmake --build build -j --target bench_perf_core >/dev/null
 
 # The SIMD dispatch level in effect (DV_SIMD=scalar|sse2|avx2|auto) is
 # recorded in the JSON context as `dv_simd_dispatch_level`, so baselines
@@ -23,7 +24,3 @@ echo "DV_SIMD=${DV_SIMD:-auto}"
   "$@"
 
 echo "wrote BENCH_perf_core.json"
-
-# bench_serve writes BENCH_serve.json into the working directory itself
-# (single-frame baseline vs micro-batched serving at batch 1/8/32).
-./build/bench/bench_serve

@@ -32,10 +32,12 @@ tensor activation_batch::last_probe_features() const {
   return last.reshaped({last.extent(0), last.numel() / last.extent(0)});
 }
 
-activation_batch extract_activations(const sequential& model, tensor images) {
+activation_batch extract_activations(const sequential& model,
+                                     const tensor& images) {
   if (images.dim() == 3) {
-    images.reshape(
-        {1, images.extent(0), images.extent(1), images.extent(2)});
+    return extract_activations(
+        model, images.reshaped({1, images.extent(0), images.extent(1),
+                                images.extent(2)}));
   }
   if (images.dim() != 4) {
     throw std::invalid_argument{
@@ -46,7 +48,6 @@ activation_batch extract_activations(const sequential& model, tensor images) {
   out.logits = std::move(pass.logits);
   out.predictions = argmax_rows(out.logits);
   out.probes = std::move(pass.probes);
-  out.images = std::move(images);
   return out;
 }
 

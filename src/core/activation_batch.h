@@ -1,13 +1,11 @@
 // Shared activation-extraction entry point for the batch-first scoring
 // path (docs/SERVING.md). One inference pass per batch produces an
-// activation_batch; the deep validator, the weighted joint validator, and
-// every anomaly detector then score from it without re-running the model.
+// activation_batch; the validator bank and the KDE, Mahalanobis and LID
+// detectors then score from it without re-running the model.
 //
-// The probe tensors are the ones sequential::infer returned: owned by the
-// batch, so a served batch can fan out to N consumers that each may run
-// further passes (e.g. feature squeezing). A batch served through the
-// activation cache (core/activation_cache.h) holds its probes already
-// reduced at the cache's one resolution instead.
+// The probe tensors are the ones sequential::infer returned. A batch
+// served through the activation cache (core/activation_cache.h) holds its
+// probes already reduced at the cache's one resolution instead.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +17,6 @@
 namespace dv {
 
 struct activation_batch {
-  /// The input images [N,C,H,W] (kept for consumers that need extra
-  /// forward passes, e.g. squeezed variants).
-  tensor images;
   /// Raw model outputs [N, classes].
   tensor logits;
   /// argmax of `logits` per row.
@@ -53,6 +48,7 @@ struct activation_batch {
 /// or a single [C,H,W] frame) and captures logits, predictions, and all
 /// raw probe activations. The caller is responsible for chunking to its
 /// batch_config. Safe to call from several threads on one model.
-activation_batch extract_activations(const sequential& model, tensor images);
+activation_batch extract_activations(const sequential& model,
+                                     const tensor& images);
 
 }  // namespace dv

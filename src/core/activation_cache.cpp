@@ -55,14 +55,17 @@ activation_cache::activation_cache(std::size_t capacity, int spatial)
 }
 
 activation_batch extract_activations_cached(const sequential& model,
-                                            tensor images,
+                                            const tensor& images,
                                             activation_cache* cache) {
   if (cache == nullptr || !cache_enabled() || cache->lru().capacity() == 0) {
-    return extract_activations(model, std::move(images));
+    return extract_activations(model, images);
   }
   if (images.dim() == 3) {
-    images.reshape(
-        {1, images.extent(0), images.extent(1), images.extent(2)});
+    return extract_activations_cached(
+        model,
+        images.reshaped(
+            {1, images.extent(0), images.extent(1), images.extent(2)}),
+        cache);
   }
   if (images.dim() != 4) {
     throw std::invalid_argument{
@@ -115,7 +118,7 @@ activation_batch extract_activations_cached(const sequential& model,
                   images.data() + miss_rows[m] * frame_elems,
                   static_cast<std::size_t>(frame_elems) * sizeof(float));
     }
-    fresh = extract_activations(model, std::move(miss_images));
+    fresh = extract_activations(model, miss_images);
     for (tensor& p : fresh.probes) {
       p = reduce_keeping_rank(p, cache->spatial());
     }
@@ -200,8 +203,6 @@ activation_batch extract_activations_cached(const sequential& model,
     lru.insert(hashes[static_cast<std::size_t>(miss_rows[m])],
                std::move(value), bytes);
   }
-
-  out.images = std::move(images);
   return out;
 }
 

@@ -64,7 +64,7 @@ class activation_cache {
 /// reduced_spatial). With `cache == nullptr` or caching disabled it is
 /// exactly extract_activations, raw probes included.
 activation_batch extract_activations_cached(const sequential& model,
-                                            tensor images,
+                                            const tensor& images,
                                             activation_cache* cache);
 
 }  // namespace dv

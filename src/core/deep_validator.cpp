@@ -144,12 +144,6 @@ deep_validator::scores deep_validator::evaluate(const sequential& model,
   return bank().evaluate(model, images);
 }
 
-deep_validator::scores deep_validator::evaluate(
-    const activation_batch& acts) const {
-  if (!fitted()) throw std::logic_error{"deep_validator: not fitted"};
-  return bank().evaluate(acts);
-}
-
 double deep_validator::joint_discrepancy(const sequential& model,
                                          const tensor& image) const {
   tensor batch = image;

@@ -63,13 +63,6 @@ class deep_validator {
   /// or an infinity gets a joint of +inf (validator_bank_view::evaluate).
   scores evaluate(const sequential& model, const tensor& images) const;
 
-  /// Algorithm 2 over pre-extracted activations — the batch-first entry
-  /// point shared with the detectors and the serving layer. No forward
-  /// pass; scores are bitwise identical to evaluate(model, images) for
-  /// the same finite rows (per-row kernels, DESIGN.md §8). Non-finite
-  /// frames are the caller's to fail closed (the serving scorers do).
-  scores evaluate(const activation_batch& acts) const;
-
   /// Joint discrepancy of a single [C,H,W] image; +inf when the image
   /// holds a NaN or an infinity.
   double joint_discrepancy(const sequential& model,
@@ -82,8 +75,6 @@ class deep_validator {
 
   /// Batching configuration captured at fit time.
   const batch_config& batching() const { return batch_; }
-  /// Probe reducer resolution captured at fit time.
-  int spatial() const { return spatial_; }
 
   /// Number of validated layers.
   int validated_layers() const {

@@ -83,10 +83,6 @@ class runtime_monitor {
   /// bitwise identical to calling observe() per frame.
   std::vector<monitor_verdict> observe_batch(const tensor& frames);
 
-  /// The validator whose threshold judges frames passed to
-  /// apply(score), observe and observe_batch.
-  const deep_validator& validator() const { return validator_; }
-
   bool alarmed() const { return alarmed_; }
   /// Fraction of invalid frames in the current window.
   double window_invalid_fraction() const;

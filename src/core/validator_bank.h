@@ -48,7 +48,7 @@ const char* bank_settings_error(int spatial, int max_batch);
 /// True when the `elems` floats of one frame hold a NaN or an infinity:
 /// the one non-finite test behind every scoring path that fails closed
 /// (validator_bank_view::evaluate over images, runtime_monitor::observe*,
-/// the serving scorers). A frame is finite exactly when its
+/// engine_scorer). A frame is finite exactly when its
 /// double-precision sum is: float magnitudes cannot overflow a double sum
 /// of a frame, and any NaN or infinity poisons it.
 bool frame_nonfinite(const float* frame, std::int64_t elems);
@@ -119,7 +119,10 @@ class validator_bank_view {
       std::shared_ptr<const snapshot_view> snap);
 
   /// Algorithm 2 over pre-extracted activations — the batch-first entry
-  /// point shared with the detectors and the serving layer.
+  /// point of engine_scorer. No forward pass; scores are bitwise
+  /// identical to evaluate(model, images) for the same finite rows
+  /// (per-row kernels, DESIGN.md §8). Non-finite frames are the caller's
+  /// to fail closed (engine_scorer does).
   validation_scores evaluate(const activation_batch& acts) const;
 
   /// Algorithm 2 over raw images: chunks by the configured batch size,

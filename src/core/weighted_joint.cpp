@@ -67,19 +67,6 @@ std::vector<double> weighted_joint_validator::score_batch(
   return out;
 }
 
-std::vector<double> weighted_joint_validator::score_batch(
-    const deep_validator& base, const activation_batch& acts) const {
-  if (!fitted()) {
-    throw std::logic_error{"weighted_joint_validator: not fitted"};
-  }
-  const weighted_joint_view v = view();
-  const auto rows = per_layer_rows(base.evaluate(acts));
-  std::vector<double> out;
-  out.reserve(rows.size());
-  for (const auto& row : rows) out.push_back(v.decision(row));
-  return out;
-}
-
 void weighted_joint_validator::save_snapshot(snapshot_writer& w,
                                              const std::string& prefix) const {
   if (!fitted()) {

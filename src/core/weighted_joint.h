@@ -30,12 +30,6 @@ class weighted_joint_validator {
                                   const deep_validator& base,
                                   const tensor& images) const;
 
-  /// Batch-first variant over pre-extracted activations (no forward
-  /// pass); bitwise identical to score_batch(model, base, images) for
-  /// the same rows.
-  std::vector<double> score_batch(const deep_validator& base,
-                                  const activation_batch& acts) const;
-
   /// Read-only view over the learned weights; valid while this object is
   /// alive and unmodified. Requires a fitted combiner.
   weighted_joint_view view() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/activation_batch.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -26,27 +27,6 @@ std::vector<double> anomaly_detector::score_batch(const tensor& images) {
   metrics::count(labeled("dv_detector_images_scored_total", name()),
                static_cast<std::uint64_t>(images.extent(0)));
   return out;
-}
-
-std::vector<double> anomaly_detector::score_activations(
-    const activation_batch& acts) {
-  if (!metrics::enabled()) return do_score_activations(acts);
-  trace_span span{"detect.score_activations"};
-  metrics::histogram* batch_seconds =
-      metrics::get_histogram(labeled("dv_detector_score_batch_seconds", name()),
-                       metrics::histogram_options::latency());
-  const std::int64_t start_ns = metrics::now_ns();
-  std::vector<double> out = do_score_activations(acts);
-  batch_seconds->observe(
-      static_cast<double>(metrics::now_ns() - start_ns) * 1e-9);
-  metrics::count(labeled("dv_detector_images_scored_total", name()),
-               static_cast<std::uint64_t>(acts.size()));
-  return out;
-}
-
-std::vector<double> anomaly_detector::do_score_activations(
-    const activation_batch& acts) {
-  return do_score_batch(acts.images);
 }
 
 std::vector<double> anomaly_detector::do_score_batch(const tensor& images) {

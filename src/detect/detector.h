@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "core/activation_batch.h"
 #include "data/dataset.h"
+#include "nn/model.h"
 #include "tensor/tensor.h"
 
 namespace dv {
@@ -30,25 +30,12 @@ class anomaly_detector {
   /// is on), then delegates to do_score_batch().
   std::vector<double> score_batch(const tensor& images);
 
-  /// Scores a batch from pre-extracted activations so one probe forward
-  /// pass is shared across the validator and N detectors (the serving
-  /// layer's batch path, docs/SERVING.md). Non-virtual metrics wrapper
-  /// around do_score_activations(); records into the same per-detector
-  /// series as score_batch().
-  std::vector<double> score_activations(const activation_batch& acts);
-
   virtual std::string name() const = 0;
 
  protected:
   /// Batch implementation; the default loops over score(). Detectors with
   /// cheaper batched paths override this.
   virtual std::vector<double> do_score_batch(const tensor& images);
-
-  /// Activation-batch implementation; the default re-runs the model on
-  /// acts.images via do_score_batch(). Detectors that only need probe
-  /// features or logits override this to skip the forward pass.
-  virtual std::vector<double> do_score_activations(
-      const activation_batch& acts);
 };
 
 /// What the KDE and Mahalanobis detectors fit on, from ONE inference pass

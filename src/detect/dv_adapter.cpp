@@ -11,9 +11,4 @@ std::vector<double> deep_validation_detector::do_score_batch(
   return validator_.evaluate(model_, images).joint;
 }
 
-std::vector<double> deep_validation_detector::do_score_activations(
-    const activation_batch& acts) {
-  return validator_.evaluate(acts).joint;
-}
-
 }  // namespace dv

@@ -15,8 +15,6 @@ class deep_validation_detector : public anomaly_detector {
 
   double score(const tensor& image) override;
   std::vector<double> do_score_batch(const tensor& images) override;
-  std::vector<double> do_score_activations(
-      const activation_batch& acts) override;
   std::string name() const override { return "deep_validation"; }
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/activation_batch.h"
 #include "nn/trainer.h"
 #include "tensor/ops.h"
 
@@ -33,22 +32,11 @@ double feature_squeezing_detector::score(const tensor& image) {
   return score_batch(batch).front();
 }
 
-std::vector<double> feature_squeezing_detector::do_score_activations(
-    const activation_batch& acts) {
-  // The base softmax comes for free from the shared logits; only the
-  // squeezed variants need extra forward passes.
-  tensor base = acts.logits;
-  softmax_rows(base);
-  return score_against_base(acts.images, base);
-}
-
 std::vector<double> feature_squeezing_detector::do_score_batch(
     const tensor& images) {
-  return score_against_base(images, batched_probabilities(model_, images));
-}
-
-std::vector<double> feature_squeezing_detector::score_against_base(
-    const tensor& images, const tensor& base) {
+  // Max L1 distance between the softmax of each image and of its squeezed
+  // variants.
+  const tensor base = batched_probabilities(model_, images);
   const std::int64_t n = images.extent(0);
   const std::int64_t c = base.extent(1);
   std::vector<double> best(static_cast<std::size_t>(n), 0.0);

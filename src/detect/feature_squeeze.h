@@ -29,15 +29,9 @@ class feature_squeezing_detector : public anomaly_detector {
 
   double score(const tensor& image) override;
   std::vector<double> do_score_batch(const tensor& images) override;
-  std::vector<double> do_score_activations(
-      const activation_batch& acts) override;
   std::string name() const override { return "feature_squeezing"; }
 
  private:
-  /// Max-L1 scores of `images` against precomputed base softmax `base`.
-  std::vector<double> score_against_base(const tensor& images,
-                                         const tensor& base);
-
   sequential& model_;
   std::vector<std::unique_ptr<squeezer>> squeezers_;
 };

@@ -79,14 +79,14 @@ std::vector<double> kde_detector::do_score_batch(const tensor& images) {
   for (std::int64_t begin = 0; begin < n; begin += batch_.max_batch) {
     const std::int64_t end = std::min<std::int64_t>(n, begin + batch_.max_batch);
     const auto part =
-        do_score_activations(extract_activations(model_, images.slice_rows(begin, end)));
+        score_extracted(extract_activations(model_, images.slice_rows(begin, end)));
     out.insert(out.end(), part.begin(), part.end());
   }
   return out;
 }
 
-std::vector<double> kde_detector::do_score_activations(
-    const activation_batch& acts) {
+std::vector<double> kde_detector::score_extracted(
+    const activation_batch& acts) const {
   const std::int64_t n = acts.size();
   const auto& preds = acts.predictions;
   const tensor feat = acts.last_probe_features();

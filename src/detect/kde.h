@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/activation_batch.h"
 #include "core/batch_config.h"
 #include "data/dataset.h"
 #include "detect/detector.h"
@@ -35,8 +36,6 @@ class kde_detector : public anomaly_detector {
 
   double score(const tensor& image) override;
   std::vector<double> do_score_batch(const tensor& images) override;
-  std::vector<double> do_score_activations(
-      const activation_batch& acts) override;
   std::string name() const override { return "kernel_density"; }
 
   double bandwidth(int cls) const {
@@ -44,6 +43,9 @@ class kde_detector : public anomaly_detector {
   }
 
  private:
+  /// Scores of one already-extracted activation batch.
+  std::vector<double> score_extracted(const activation_batch& acts) const;
+
   const sequential& model_;
   batch_config batch_;
   std::vector<tensor> class_features_;  // per class [n_k, d]

@@ -138,13 +138,4 @@ std::vector<double> lid_detector::do_score_batch(const tensor& images) {
   return out;
 }
 
-std::vector<double> lid_detector::do_score_activations(
-    const activation_batch& acts) {
-  const auto feats = lid_rows(acts);
-  std::vector<double> out;
-  out.reserve(feats.size());
-  for (const auto& row : feats) out.push_back(combiner_.decision(row));
-  return out;
-}
-
 }  // namespace dv

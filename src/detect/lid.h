@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/activation_batch.h"
 #include "core/batch_config.h"
 #include "data/dataset.h"
 #include "detect/detector.h"
@@ -44,8 +45,6 @@ class lid_detector : public anomaly_detector {
 
   double score(const tensor& image) override;
   std::vector<double> do_score_batch(const tensor& images) override;
-  std::vector<double> do_score_activations(
-      const activation_batch& acts) override;
   std::string name() const override { return "lid"; }
 
   int layers() const { return static_cast<int>(reference_.size()); }

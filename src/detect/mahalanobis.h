@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/activation_batch.h"
 #include "core/batch_config.h"
 #include "data/dataset.h"
 #include "detect/detector.h"
@@ -32,13 +33,14 @@ class mahalanobis_detector : public anomaly_detector {
 
   double score(const tensor& image) override;
   std::vector<double> do_score_batch(const tensor& images) override;
-  std::vector<double> do_score_activations(
-      const activation_batch& acts) override;
   std::string name() const override { return "mahalanobis"; }
 
   int num_classes() const { return static_cast<int>(means_.size()); }
 
  private:
+  /// Scores of one already-extracted activation batch.
+  std::vector<double> score_extracted(const activation_batch& acts) const;
+
   const sequential& model_;
   batch_config batch_;
   std::vector<std::vector<double>> means_;  // per class

@@ -13,20 +13,10 @@ const serve_config& monitor_service::validated(const serve_config& config) {
   return config;
 }
 
-monitor_service::monitor_service(sequential& model, runtime_monitor& monitor,
-                                 const serve_config& config)
-    : owned_scorer_{std::make_unique<validator_scorer>(model,
-                                                       monitor.validator())},
-      scorer_{owned_scorer_.get()},
-      monitor_{monitor},
-      batcher_{"monitor",
-               [this](const tensor& frames) { return score_and_apply(frames); },
-               validated(config)} {}
-
 monitor_service::monitor_service(batch_scorer& scorer,
                                  runtime_monitor& monitor,
                                  const serve_config& config)
-    : scorer_{&scorer},
+    : scorer_{scorer},
       monitor_{monitor},
       batcher_{"monitor",
                [this](const tensor& frames) { return score_and_apply(frames); },
@@ -34,7 +24,7 @@ monitor_service::monitor_service(batch_scorer& scorer,
 
 std::vector<monitor_verdict> monitor_service::score_and_apply(
     const tensor& frames) {
-  const auto rows = scorer_->score(frames);
+  const auto rows = scorer_.score(frames);
   std::vector<monitor_verdict> out;
   out.reserve(rows.size());
   // FIFO within the batch and across batches (single worker), so the

@@ -4,11 +4,12 @@
 // activation extraction per batch, and folded into the monitor's
 // hysteresis state machine in FIFO order on the worker thread. Each frame
 // is judged by the scorer's verdict (scoring_result::invalid) and carries
-// its bank generation, so with an engine_scorer a newly published
-// threshold takes effect with its generation. Over the monitor's own
-// validator, verdicts are bitwise identical to calling
+// its bank generation, so a newly published threshold takes effect with
+// its generation. Over an engine_scorer whose handle published the
+// monitor's own validator's bank(), each verdict's discrepancy,
+// prediction, validity and alarm are bitwise identical to calling
 // runtime_monitor::observe per frame in the same order, for any max_batch
-// and any DV_THREADS (ctest-enforced).
+// and any DV_THREADS, non-finite frames included (ctest-enforced).
 //
 // caller_runs overflow is forbidden: it would apply a late frame's
 // hysteresis update ahead of queued earlier frames. Use block (lossless)
@@ -19,7 +20,6 @@
 
 #include <cstddef>
 #include <future>
-#include <memory>
 #include <vector>
 
 #include "core/monitor.h"
@@ -30,12 +30,7 @@ namespace dv {
 
 class monitor_service {
  public:
-  /// Scores with a validator_scorer built over `model` and the monitor's
-  /// validator. Both must outlive the service.
-  monitor_service(sequential& model, runtime_monitor& monitor,
-                  const serve_config& config = {});
-
-  /// Scores with a caller-provided scorer (e.g. a test stub); `scorer`
+  /// Scores with `scorer` (an engine_scorer, or a test stub); `scorer`
   /// and `monitor` must outlive the service.
   monitor_service(batch_scorer& scorer, runtime_monitor& monitor,
                   const serve_config& config = {});
@@ -59,8 +54,7 @@ class monitor_service {
   static const serve_config& validated(const serve_config& config);
   std::vector<monitor_verdict> score_and_apply(const tensor& frames);
 
-  std::unique_ptr<validator_scorer> owned_scorer_;
-  batch_scorer* scorer_;
+  batch_scorer& scorer_;
   runtime_monitor& monitor_;
   micro_batcher<monitor_verdict> batcher_;
 };

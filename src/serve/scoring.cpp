@@ -1,5 +1,6 @@
 #include "serve/scoring.h"
 
+#include <limits>
 #include <stdexcept>
 
 #include "core/activation_batch.h"
@@ -10,7 +11,9 @@ namespace dv {
 namespace {
 
 /// Fails closed on frames that hold a NaN or an infinity
-/// (frame_nonfinite): their rows become invalid and nonfinite.
+/// (frame_nonfinite): their rows score a joint of +inf and become invalid
+/// and nonfinite, the rule of validator_bank_view::evaluate over images;
+/// per_layer stays as scored.
 void fail_nonfinite_rows(const tensor& frames,
                          std::vector<scoring_result>& rows) {
   if (rows.empty()) return;
@@ -22,6 +25,7 @@ void fail_nonfinite_rows(const tensor& frames,
       continue;
     }
     auto& row = rows[static_cast<std::size_t>(i)];
+    row.joint = std::numeric_limits<double>::infinity();
     row.invalid = true;
     row.nonfinite = true;
     ++flagged;
@@ -32,68 +36,6 @@ void fail_nonfinite_rows(const tensor& frames,
 }
 
 }  // namespace
-
-validator_scorer::validator_scorer(sequential& model,
-                                   const deep_validator& validator)
-    : model_{model}, validator_{validator} {
-  if (!validator_.fitted()) {
-    throw std::logic_error{"validator_scorer: validator not fitted"};
-  }
-  if (cache_enabled()) {
-    frame_cache_ = std::make_unique<activation_cache>(cache_capacity(),
-                                                      validator_.spatial());
-  }
-}
-
-void validator_scorer::attach_weighted(
-    const weighted_joint_validator& weighted) {
-  if (!weighted.fitted()) {
-    throw std::logic_error{"validator_scorer: weighted combiner not fitted"};
-  }
-  weighted_ = &weighted;
-}
-
-void validator_scorer::attach_detector(anomaly_detector& detector) {
-  detectors_.push_back(&detector);
-}
-
-std::vector<scoring_result> validator_scorer::score(const tensor& frames) {
-  // The one shared forward pass for the whole fan-out; repeated frames
-  // come out of the activation cache instead (docs/CACHING.md).
-  const activation_batch acts =
-      extract_activations_cached(model_, frames, frame_cache_.get());
-  const auto s = validator_.evaluate(acts);
-
-  std::vector<double> weighted;
-  if (weighted_ != nullptr) {
-    weighted = weighted_->score_batch(validator_, acts);
-  }
-  std::vector<std::vector<double>> detector_scores(detectors_.size());
-  for (std::size_t d = 0; d < detectors_.size(); ++d) {
-    detector_scores[d] = detectors_[d]->score_activations(acts);
-  }
-
-  const std::size_t n = s.joint.size();
-  std::vector<scoring_result> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& row = out[i];
-    row.joint = s.joint[i];
-    row.prediction = s.predictions[i];
-    row.invalid = validator_.flags_invalid(row.joint);
-    row.per_layer.reserve(s.per_layer.size());
-    for (const auto& layer : s.per_layer) row.per_layer.push_back(layer[i]);
-    row.detector_scores.reserve(detectors_.size());
-    for (const auto& scores : detector_scores) {
-      row.detector_scores.push_back(scores[i]);
-    }
-    if (weighted_ != nullptr) {
-      row.weighted = weighted[i];
-      row.has_weighted = true;
-    }
-  }
-  fail_nonfinite_rows(frames, out);
-  return out;
-}
 
 engine_scorer::engine_scorer(sequential& model, const engine_handle& handle)
     : model_{model}, handle_{handle} {

@@ -1,12 +1,12 @@
-// Batch-first scoring runtime: request/result types and the pluggable
-// batch scorer behind the serving layer (docs/SERVING.md).
+// Batch-first scoring runtime: request/result types and the batch scorer
+// behind the serving layer (docs/SERVING.md).
 //
 // The serving layer turns single-frame requests into coalesced batches so
-// one probe forward pass is amortized across the deep validator, the
-// weighted joint validator, and every attached anomaly detector. Because
-// all forward kernels are per-row independent (DESIGN.md §8), a frame's
-// scores are bitwise identical no matter which batch it lands in — batch
-// composition is purely a throughput knob.
+// one probe forward pass is amortized across the frames of a batch, all
+// scored by engine_scorer against the bank an engine_handle publishes.
+// Because all forward kernels are per-row independent (DESIGN.md §8), a
+// frame's scores are bitwise identical no matter which batch it lands in —
+// batch composition is purely a throughput knob.
 #pragma once
 
 #include <chrono>
@@ -18,9 +18,6 @@
 
 #include "core/activation_cache.h"
 #include "core/batch_config.h"
-#include "core/deep_validator.h"
-#include "core/weighted_joint.h"
-#include "detect/detector.h"
 #include "serve/engine_handle.h"
 #include "tensor/tensor.h"
 
@@ -65,19 +62,18 @@ struct scoring_result {
   /// joint > validator threshold epsilon; a NaN joint is invalid too,
   /// and so is a non-finite frame.
   bool invalid{false};
-  /// The frame held a NaN or an infinity, so the row fails closed:
-  /// invalid whatever its joint (dv_serve_nonfinite_frames_total).
+  /// The frame held a NaN or an infinity, so the row fails closed: its
+  /// joint is +inf and it is invalid, as validator_bank_view::evaluate
+  /// over images scores it (dv_serve_nonfinite_frames_total).
   bool nonfinite{false};
   /// Per validated layer discrepancy d_i.
   std::vector<double> per_layer;
-  /// One score per attached detector, in attachment order.
-  std::vector<double> detector_scores;
   /// Weighted joint score; meaningful only when has_weighted.
   double weighted{0.0};
   bool has_weighted{false};
-  /// Generation of the published bank that scored this frame (0 when the
-  /// scorer is not engine-backed; see serve/engine_handle.h). Every
-  /// frame of one batch carries the same generation.
+  /// Generation of the published bank that scored this frame (see
+  /// serve/engine_handle.h). Every frame of one batch carries the same
+  /// generation.
   std::uint64_t generation{0};
 };
 
@@ -94,54 +90,18 @@ class batch_scorer {
   virtual std::vector<scoring_result> score(const tensor& frames) = 0;
 };
 
-/// The production scorer: one activation extraction per batch, fanned out
-/// to the deep validator and every attached consumer.
-class validator_scorer : public batch_scorer {
- public:
-  /// `model` and `validator` must outlive the scorer; the validator must
-  /// be fitted.
-  validator_scorer(sequential& model, const deep_validator& validator);
-
-  /// Also score each batch with the weighted combiner (must be fitted and
-  /// outlive the scorer).
-  void attach_weighted(const weighted_joint_validator& weighted);
-  /// Also score each batch with `detector` (must outlive the scorer).
-  /// Scores land in scoring_result::detector_scores in attachment order.
-  /// With caching on, the detector sees probes reduced at the validator's
-  /// resolution (activation_batch::reduced_spatial); one that reads
-  /// another resolution, or a convolutional last probe, throws
-  /// std::logic_error from score().
-  void attach_detector(anomaly_detector& detector);
-
-  std::vector<scoring_result> score(const tensor& frames) override;
-
-  /// The frame-level activation cache, at the validator's resolution, or
-  /// nullptr when caching was off at construction (DV_CACHE,
-  /// docs/CACHING.md). Exposed for benches/tests that read hit/miss stats.
-  const activation_cache* frame_cache() const { return frame_cache_.get(); }
-
- private:
-  sequential& model_;
-  const deep_validator& validator_;
-  const weighted_joint_validator* weighted_{nullptr};
-  std::vector<anomaly_detector*> detectors_;
-  /// Strong-hash LRU over per-frame reduced forward-pass products;
-  /// score() runs serialized (batcher worker or caller_runs under the
-  /// batch mutex), which is the single-mutator stream the cache requires.
-  std::unique_ptr<activation_cache> frame_cache_;
-};
-
-/// The hot-swappable scorer: scores each batch against whatever bank the
-/// engine_handle currently publishes (serve/engine_handle.h). The bank is
-/// loaded ONCE per batch — every frame of a batch scores against one
-/// generation, and a publish between batches never drains the queue.
-/// Weighted scores come from the bank's embedded combiner when the
-/// snapshot carries one. The activation cache holds probes reduced at the
-/// published bank's resolution; a publish that changes it starts a new,
-/// cold cache. When caching is on, a handle must not be shared
-/// by two concurrently scoring services (docs/SNAPSHOTS.md): the bank's
-/// decision caches assume the serialized scoring stream one micro_batcher
-/// provides.
+/// The scorer: one activation extraction per batch, scored against
+/// whatever bank the engine_handle currently publishes
+/// (serve/engine_handle.h). A fixed validator is served by publishing
+/// its bank() once (generation 1). The bank is loaded ONCE per batch —
+/// every frame of a batch scores against one generation, and a publish
+/// between batches never drains the queue. Weighted scores come from the
+/// bank's combiner when it carries one (bank.weighted()). The activation
+/// cache holds probes reduced at the published bank's resolution; a
+/// publish that changes it starts a new, cold cache. When caching is on,
+/// a handle must not be shared by two concurrently scoring services
+/// (docs/SNAPSHOTS.md): the bank's decision caches assume the serialized
+/// scoring stream one micro_batcher provides.
 class engine_scorer : public batch_scorer {
  public:
   /// `model` and `handle` must outlive the scorer. The handle may be

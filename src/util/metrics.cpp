@@ -178,14 +178,24 @@ histogram::~histogram() { delete impl_; }
 
 void histogram::observe(double value) {
   const auto& bounds = impl_->options.bounds;
-  const std::size_t bucket = static_cast<std::size_t>(
-      std::lower_bound(bounds.begin(), bounds.end(), value) - bounds.begin());
+  // NaN compares false against every bound; it counts with +Inf in the
+  // overflow bucket.
+  const std::size_t bucket =
+      std::isnan(value)
+          ? bounds.size()
+          : static_cast<std::size_t>(
+                std::lower_bound(bounds.begin(), bounds.end(), value) -
+                bounds.begin());
   const int lane = metric_lane();
   impl_->buckets[static_cast<std::size_t>(lane) * (bounds.size() + 1) + bucket]
       .value.fetch_add(1, std::memory_order_relaxed);
-  const auto ticks =
-      static_cast<std::int64_t>(std::llround(value * impl_->options.scale));
-  impl_->sums[lane].value.fetch_add(ticks, std::memory_order_relaxed);
+  // A value whose ticks do not fit in int64 (NaN, ±Inf, |ticks| >= 2^63)
+  // adds nothing to the sum.
+  const double scaled = value * impl_->options.scale;
+  if (!(std::abs(scaled) < 0x1p63)) return;
+  impl_->sums[lane].value.fetch_add(
+      static_cast<std::int64_t>(std::llround(scaled)),
+      std::memory_order_relaxed);
 }
 
 std::uint64_t histogram::count() const {

@@ -110,6 +110,9 @@ struct histogram_options {
 class histogram {
  public:
   ~histogram();
+  /// Counts `value` in its bucket (NaN with +Inf in the overflow bucket)
+  /// and adds it to the sum unless its ticks do not fit in int64 (NaN,
+  /// ±Inf, |value × scale| >= 2^63).
   void observe(double value);
   /// Total observations (sum over buckets, including overflow).
   std::uint64_t count() const;

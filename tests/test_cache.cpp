@@ -335,7 +335,6 @@ TEST(ActivationCache, ExtractBitwiseIdenticalColdAndWarm) {
     for (const activation_batch* got : {&cold, &warm}) {
       EXPECT_EQ(got->reduced_spatial, spatial);
       EXPECT_TRUE(bitwise_equal(plain.logits, got->logits));
-      EXPECT_TRUE(bitwise_equal(plain.images, got->images));
       EXPECT_EQ(plain.predictions, got->predictions);
       ASSERT_EQ(plain.probe_count(), got->probe_count());
       for (int p = 0; p < plain.probe_count(); ++p) {
@@ -482,15 +481,17 @@ TEST(FullPipeline, ServeScorerBitwiseWithActivationCache) {
   auto& world = shared_tiny_world();
   const deep_validator& validator = fitted_validator();
   const tensor frames = duplicate_stream(32, 8);
+  engine_handle handle;
+  handle.publish(validator.bank());
 
   set_cache_enabled(false);
-  validator_scorer uncached{*world.model, validator};
+  engine_scorer uncached{*world.model, handle};
   EXPECT_EQ(uncached.frame_cache(), nullptr);
   const auto base = uncached.score(frames);
 
   set_cache_enabled(true);
   set_cache_capacity(256);
-  validator_scorer cached{*world.model, validator};
+  engine_scorer cached{*world.model, handle};
   ASSERT_NE(cached.frame_cache(), nullptr);
   for (int pass = 0; pass < 2; ++pass) {
     const auto got = cached.score(frames);

@@ -16,7 +16,6 @@
 #include <cstring>
 #include <future>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -74,8 +73,9 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-/// Every finite row of `got` carries the bits of `expected`, judged by
-/// `bank`; rows marked in `nonfinite` come back invalid and flagged.
+/// Every row of `got` carries the bits of `expected`, judged by `bank`:
+/// rows marked in `nonfinite` come back flagged with a joint of +inf, as
+/// the direct evaluate scores them, and so invalid.
 void expect_rows(const std::vector<scoring_result>& got,
                  const validation_scores& expected,
                  const validator_bank_view& bank,
@@ -84,10 +84,6 @@ void expect_rows(const std::vector<scoring_result>& got,
   for (std::size_t i = 0; i < got.size(); ++i) {
     SCOPED_TRACE(i);
     EXPECT_EQ(got[i].nonfinite, nonfinite[i]);
-    if (nonfinite[i]) {
-      EXPECT_TRUE(got[i].invalid);
-      continue;
-    }
     EXPECT_TRUE(same_bits(got[i].joint, expected.joint[i]));
     EXPECT_EQ(got[i].prediction, expected.predictions[i]);
     EXPECT_EQ(got[i].invalid, bank.flags_invalid(expected.joint[i]));
@@ -447,32 +443,22 @@ TEST(NonfiniteFrames, FailClosedOnEveryServingSurface) {
     service.shutdown();
   }
 
-  // monitor_service over the engine_scorer and over its own
-  // validator_scorer: a non-finite frame is folded as invalid.
+  // monitor_service: a non-finite frame is folded as invalid, with the
+  // joint runtime_monitor::observe folds for it.
   runtime_monitor monitor{*world.model, dv};
-  for (const bool engine : {true, false}) {
-    SCOPED_TRACE(engine);
-    monitor.reset();
-    auto service = engine ? std::make_unique<monitor_service>(
-                                scorer, monitor, config)
-                          : std::make_unique<monitor_service>(
-                                *world.model, monitor, config);
-    std::vector<std::future<monitor_verdict>> futures;
-    for (std::int64_t i = 0; i < n; ++i) {
-      futures.push_back(service->submit(in.frames.sample(i)));
-    }
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      const monitor_verdict v = futures[i].get();
-      EXPECT_EQ(v.nonfinite, in.nonfinite[i]) << i;
-      if (in.nonfinite[i]) {
-        EXPECT_TRUE(v.frame_invalid) << i;
-        continue;
-      }
-      EXPECT_TRUE(same_bits(v.discrepancy, expected.joint[i])) << i;
-      EXPECT_EQ(v.frame_invalid, bank.flags_invalid(expected.joint[i])) << i;
-    }
-    service->shutdown();
+  monitor_service service{scorer, monitor, config};
+  std::vector<std::future<monitor_verdict>> futures;
+  for (std::int64_t i = 0; i < n; ++i) {
+    futures.push_back(service.submit(in.frames.sample(i)));
   }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    SCOPED_TRACE(i);
+    const monitor_verdict v = futures[i].get();
+    EXPECT_EQ(v.nonfinite, in.nonfinite[i]);
+    EXPECT_TRUE(same_bits(v.discrepancy, expected.joint[i]));
+    EXPECT_EQ(v.frame_invalid, bank.flags_invalid(expected.joint[i]));
+  }
+  service.shutdown();
   metrics::set_enabled(metrics_were_on);
 }
 
@@ -497,8 +483,8 @@ TEST(NonfiniteFrames, FailClosedOnEveryDirectScoringCall) {
   const auto n = static_cast<std::int64_t>(in.nonfinite.size());
   // The activation-batch path never looks at the frames, so it holds
   // today's bits for every row.
-  const validation_scores expected =
-      fitted_validator().evaluate(extract_activations(*world.model, in.frames));
+  const validation_scores expected = fitted_validator().bank().evaluate(
+      extract_activations(*world.model, in.frames));
   // At a threshold no joint reaches, only a fail-closed frame is invalid.
   deep_validator lax = fitted_validator();
   lax.set_threshold(std::numeric_limits<double>::max());

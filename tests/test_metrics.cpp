@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -204,6 +205,27 @@ TEST_F(MetricsRegistry, HistogramBucketsCountAndFixedPointSum) {
   EXPECT_EQ(buckets[2], 1u);
   // Sum is exact at 1/1000 resolution: 250 + 500 + 750 + 2000 ticks.
   EXPECT_DOUBLE_EQ(h->sum(), 3.5);
+}
+
+TEST_F(MetricsRegistry, HistogramSurvivesNonFiniteObservations) {
+  // The monitor's discrepancy buckets; a non-finite frame scores +inf.
+  metrics::histogram* h = metrics::get_histogram(
+      "dv_test_nonfinite",
+      metrics::histogram_options::linear(-0.5, 2.0, 10, /*scale=*/1048576.0));
+  ASSERT_NE(h, nullptr);
+  h->observe(1.0);
+  h->observe(std::numeric_limits<double>::infinity());
+  h->observe(-std::numeric_limits<double>::infinity());
+  h->observe(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(h->count(), 4u);
+  EXPECT_EQ(h->sum(), 1.0);  // only 1.0 has ticks that fit in int64
+  const auto buckets = h->bucket_counts();
+  EXPECT_EQ(buckets.front(), 1u);  // -Inf
+  EXPECT_EQ(buckets.back(), 2u);   // +Inf and NaN
+  // A finite value whose ticks overflow int64 is counted but not summed.
+  h->observe(1e300);
+  EXPECT_EQ(h->count(), 5u);
+  EXPECT_EQ(h->sum(), 1.0);
 }
 
 TEST_F(MetricsRegistry, KindMismatchThrows) {

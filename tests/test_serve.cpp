@@ -15,7 +15,7 @@
 
 #include "augment/stream.h"
 #include "core/monitor.h"
-#include "detect/dv_adapter.h"
+#include "core/weighted_joint.h"
 #include "eval/metrics.h"
 #include "serve/monitor_service.h"
 #include "serve/scoring_service.h"
@@ -299,9 +299,9 @@ TEST(ScoringService, MismatchedFrameShapeThrows) {
   svc.shutdown();
 }
 
-// -- validator_scorer against the direct batch path ------------------------
+// -- engine_scorer against the direct batch path ---------------------------
 
-TEST(ValidatorScorer, MatchesDirectEvaluateWeightedAndDetector) {
+TEST(EngineScorer, MatchesDirectEvaluateAndWeighted) {
   const auto& world = shared_tiny_world();
   const auto& validator = fitted_validator();
   const tensor images = world.test.images.slice_rows(0, 10);
@@ -312,15 +312,21 @@ TEST(ValidatorScorer, MatchesDirectEvaluateWeightedAndDetector) {
   weighted.fit(*world.model, validator, world.test.images.slice_rows(20, 40),
                outliers);
 
-  deep_validation_detector adapter{*world.model, validator};
-
   const auto direct = validator.evaluate(*world.model, images);
   const auto direct_weighted =
       weighted.score_batch(*world.model, validator, images);
 
-  validator_scorer scorer{*world.model, validator};
-  scorer.attach_weighted(weighted);
-  scorer.attach_detector(adapter);
+  // The validator's bank carrying the fitted combiner.
+  const validator_bank_view base = validator.bank();
+  std::vector<int> probes;
+  for (int i = 0; i < base.validated_layers(); ++i) {
+    probes.push_back(base.probe_index(i));
+  }
+  engine_handle handle;
+  handle.publish(validator_bank_view{base.layers(), probes, base.spatial(),
+                                     base.batching(), base.threshold(),
+                                     weighted.view()});
+  engine_scorer scorer{*world.model, handle};
   scoring_service svc{scorer, stub_config(4, 16, overflow_policy::block, 500us)};
   std::vector<std::future<scoring_result>> futures;
   for (std::int64_t i = 0; i < 10; ++i) {
@@ -337,8 +343,7 @@ TEST(ValidatorScorer, MatchesDirectEvaluateWeightedAndDetector) {
     }
     ASSERT_TRUE(row.has_weighted);
     EXPECT_EQ(row.weighted, direct_weighted[i]);
-    ASSERT_EQ(row.detector_scores.size(), 1u);
-    EXPECT_EQ(row.detector_scores[0], direct.joint[i]);
+    EXPECT_EQ(row.generation, 1u);
   }
   svc.shutdown();
 }
@@ -380,6 +385,9 @@ TEST(MonitorService, BitwiseIdenticalToSequentialObserve) {
   ASSERT_TRUE(std::any_of(expected.begin(), expected.end(),
                           [](const monitor_verdict& v) { return v.alarm; }));
 
+  // The monitor's own validator, served as generation 1.
+  engine_handle handle;
+  handle.publish(fitted_validator().bank());
   thread_count_guard guard;
   for (const int threads : {1, 8}) {
     for (const int max_batch : {1, 4, 32}) {
@@ -389,7 +397,8 @@ TEST(MonitorService, BitwiseIdenticalToSequentialObserve) {
       cfg.batch.max_batch = max_batch;
       cfg.max_delay = 2000us;
       cfg.queue_capacity = 64;
-      monitor_service svc{*world.model, monitor, cfg};
+      engine_scorer scorer{*world.model, handle};
+      monitor_service svc{scorer, monitor, cfg};
       std::vector<std::future<monitor_verdict>> futures;
       for (const auto& frame : frames) futures.push_back(svc.submit(frame));
       for (std::size_t i = 0; i < frames.size(); ++i) {
@@ -446,9 +455,12 @@ TEST(MonitorService, ResetWithRequestsInFlight) {
 TEST(MonitorService, CallerRunsPolicyIsRejectedAtConstruction) {
   const auto& world = shared_tiny_world();
   runtime_monitor monitor{*world.model, fitted_validator()};
+  engine_handle handle;
+  handle.publish(fitted_validator().bank());
+  engine_scorer scorer{*world.model, handle};
   serve_config cfg;
   cfg.on_full = overflow_policy::caller_runs;
-  EXPECT_THROW((monitor_service{*world.model, monitor, cfg}),
+  EXPECT_THROW((monitor_service{scorer, monitor, cfg}),
                std::invalid_argument);
 }
 
