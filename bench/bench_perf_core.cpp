@@ -1,6 +1,7 @@
 // Microbenchmarks of the numerical kernels behind the library (google-
 // benchmark): GEMM variants, im2col, convolution forward/backward, the
-// direct convolution of the fused DenseNet inference, the RBF
+// direct convolution of the fused DenseNet inference and of conv2d::infer,
+// the street CNN's batch-1 ReLU, max-pool and dense layers, the RBF
 // kernel and one-class SVM scoring, affine warping, and the squeezers.
 //
 // The *_threads variants take the pool size as the second benchmark
@@ -153,25 +154,106 @@ void bm_conv_direct(benchmark::State& state) {
 }
 BENCHMARK(bm_conv_direct)->Apply(dense_conv_shapes);
 
-/// The im2col + GEMM reference for bm_conv_direct's shapes: conv2d::infer
-/// on a 4-image batch (an inference slice), single-threaded; items are
-/// images.
+/// The street CNN's four convs (3x3, pad 1, with bias): 3 -> 16 and
+/// 16 -> 16 at 32x32, 16 -> 32 and 32 -> 32 at 16x16. Same arguments as
+/// dense_conv_shapes.
+void street_conv_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({3, 16, 3, 32})
+      ->Args({16, 16, 3, 32})
+      ->Args({16, 32, 3, 16})
+      ->Args({32, 32, 3, 16})
+      ->ArgNames({"in_c", "out_c", "kernel", "size"});
+}
+
+/// The im2col + GEMM reference for the direct convolution's shapes:
+/// im2col of one image ("same" padding), then gemm_nn, single-threaded;
+/// items are images. Since conv2d::infer runs stride-1 convs on
+/// conv_direct, this is the path it replaced.
 void bm_conv_forward_shape(benchmark::State& state) {
   thread_arg threads{1};
   const std::int64_t in_c = state.range(0), out_c = state.range(1);
   const std::int64_t k = state.range(2), size = state.range(3);
   rng gen{6};
-  const conv2d conv{in_c, out_c, k, 1, k / 2, gen, /*bias=*/false};
-  const tensor x = tensor::uniform({4, in_c, size, size}, gen, 0, 1);
+  const conv_geometry g{in_c, size, size, k, 1, k / 2};
+  const tensor x = tensor::randn({in_c, size, size}, gen);
+  const tensor weight = tensor::randn({out_c, g.col_rows()}, gen);
+  tensor col{{g.col_rows(), g.col_cols()}};
+  tensor out{{out_c, size, size}};
+  for (auto _ : state) {
+    im2col(x.data(), g, col.data());
+    gemm_nn(out_c, g.col_cols(), g.col_rows(), 1.0f, weight.data(),
+            col.data(), 0.0f, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(bm_conv_forward_shape)
+    ->Name("bm_conv_forward")
+    ->Apply(dense_conv_shapes)
+    ->Apply(street_conv_shapes);
+
+/// conv2d::infer of one image at the street CNN's conv shapes, as a live
+/// stream's batch-1 forward runs it (staged zero border, conv_direct,
+/// bias), single-threaded; compare with bm_conv_forward at the same
+/// shapes.
+void bm_conv2d_infer(benchmark::State& state) {
+  thread_arg threads{1};
+  const std::int64_t in_c = state.range(0), out_c = state.range(1);
+  const std::int64_t k = state.range(2), size = state.range(3);
+  rng gen{6};
+  const conv2d conv{in_c, out_c, k, 1, k / 2, gen};
+  const tensor x = tensor::randn({1, in_c, size, size}, gen);
   for (auto _ : state) {
     tensor y = conv.infer(x, nullptr);
     benchmark::DoNotOptimize(y.data());
   }
-  state.SetItemsProcessed(state.iterations() * 4);
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(bm_conv_forward_shape)
-    ->Name("bm_conv_forward")
-    ->Apply(dense_conv_shapes);
+BENCHMARK(bm_conv2d_infer)->Apply(street_conv_shapes);
+
+/// relu::infer and the 2x2 max_pool2d::infer on the street CNN's first
+/// [16, 32, 32] activation, and dense::infer of its 2048 -> 96 layer, at
+/// batch 1 on one thread. Inputs are standard normal, so about half the
+/// activations are negative (the case a compare-and-branch mispredicts).
+void bm_relu_infer(benchmark::State& state) {
+  thread_arg threads{1};
+  rng gen{15};
+  const relu layer;
+  const tensor x = tensor::randn({1, 16, 32, 32}, gen);
+  for (auto _ : state) {
+    tensor y = layer.infer(x, nullptr);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(bm_relu_infer);
+
+void bm_max_pool2x2_infer(benchmark::State& state) {
+  thread_arg threads{1};
+  rng gen{16};
+  const max_pool2d layer{2};
+  const tensor x = tensor::randn({1, 16, 32, 32}, gen);
+  for (auto _ : state) {
+    tensor y = layer.infer(x, nullptr);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(bm_max_pool2x2_infer);
+
+void bm_dense_infer(benchmark::State& state) {
+  thread_arg threads{1};
+  rng gen{17};
+  const dense layer{2048, 96, gen};
+  const tensor x = tensor::randn({1, 2048}, gen);
+  for (auto _ : state) {
+    tensor y = layer.infer(x, nullptr);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(bm_dense_infer);
 
 void bm_conv_backward(benchmark::State& state) {
   rng gen{5};

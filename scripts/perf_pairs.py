@@ -8,16 +8,19 @@ Usage, from anywhere:
 
 For each seed, runs `python3 perfbench/run.py` untraced for BENCHMARK.json's
 run_seconds once in each checkout, one after the other; the first pair
-starts with the change, the next with the parent, and so on. Each checkout
-builds into its own .bench_build/. Then prints, for every end-to-end
-metric of BENCHMARK.json (read from the change checkout): each side's
-median and quartiles, how many pairs the change won, the ratio of the
-medians, whether the change's median gained more than the parent's
-interquartile range, and whether it is worse than the parent's by more
-than the metric's bound. A table of runs follows with each run's
-frames_served and host_steal_share notes; a parked_camera run that served
-more than 2^19 frames is marked, because the harness's per-frame records
-step its peak_rss_mb there. Nothing under perfbench/ is changed.
+starts with the change, the next with the parent, and so on. The seed count
+must be even, so that each side runs first in exactly half the pairs (the
+first run of a pair reads a higher setup_s). Each checkout builds into its
+own .bench_build/. Then prints, for every end-to-end metric of
+BENCHMARK.json (read from the change checkout): each side's median and
+quartiles, how many pairs the change won, the ratio of the medians, whether
+the change's median gained more than the parent's interquartile range, and
+whether it is worse than the parent's by more than the metric's bound.
+setup_s medians by run order follow, then a table of runs with each run's
+frames_served and host_steal_share notes; a parked_camera run is marked
+with the highest power of two of frames served it passed (2^19, 2^20),
+because the harness's per-frame records step its peak_rss_mb at each one.
+Nothing under perfbench/ is changed.
 """
 
 import argparse
@@ -28,8 +31,10 @@ import sys
 from pathlib import Path
 
 # perfbench's drive() keeps per-frame records in vectors that double; past
-# this many frames the doubling copy lifts parked_camera's peak_rss_mb.
-RECORD_STEP_FRAMES = 1 << 19
+# each of these frame counts the doubling copy lifts parked_camera's
+# peak_rss_mb. Over the 1 s warm-up plus a 15 s run, 2^20 frames is about
+# 65.5k frames/s.
+RECORD_STEP_FRAMES = (1 << 19, 1 << 20)
 
 
 def parse_seeds(text):
@@ -80,6 +85,35 @@ def fmt(v):
     return f"{v:.0f}" if abs(v) >= 1000 else f"{v:.4g}"
 
 
+def record_step_mark(frames):
+    """' >2^k' for the highest record step a run passed, else ''."""
+    passed = [step for step in RECORD_STEP_FRAMES if frames > step]
+    return f" >2^{passed[-1].bit_length() - 1}" if passed else ""
+
+
+def setup_by_order(pairs):
+    """setup_s medians of the first and of the second run of each pair."""
+    out = []
+    for position in ("first", "second"):
+        values = {"parent": [], "change": []}
+        for p in pairs:
+            side = p["first"]
+            if position == "second":
+                side = "parent" if side == "change" else "change"
+            v = metric(p[side], "setup_s")
+            if v is not None:
+                values[side].append(v)
+        both = values["parent"] + values["change"]
+        if not both:
+            continue
+        parts = [f"{side} {fmt(statistics.median(v))} ({len(v)})"
+                 for side, v in values.items() if v]
+        out.append(f"setup_s, {position} run of a pair: median "
+                   f"{fmt(statistics.median(both))} over {len(both)} runs; "
+                   + ", ".join(parts))
+    return out
+
+
 def summarize(spec, workload, pairs):
     out = []
     out.append(f"{'metric':<18} {'better':<6} {'parent median [q1, q3]':<28} "
@@ -112,6 +146,8 @@ def summarize(spec, workload, pairs):
             f"{'yes' if beyond_iqr else 'no':>8} "
             f"{('WORSE>' + str(m['bound'])) if worse else 'no':>10}")
     out.append("")
+    out.extend(setup_by_order(pairs))
+    out.append("")
     out.append(f"{'pair':>4} {'seed':>5} {'first':<7} {'side':<7} {'ok':<3} "
                f"{'frames_served':>13} {'host_steal_share':>16}")
     for i, p in enumerate(pairs):
@@ -120,9 +156,8 @@ def summarize(spec, workload, pairs):
             ok = run["result"] is not None and run["result"]["failed"] == 0
             frames = run["notes"].get("frames_served", "-")
             mark = ""
-            if (workload == "parked_camera" and frames != "-"
-                    and int(frames) > RECORD_STEP_FRAMES):
-                mark = " >2^19"
+            if workload == "parked_camera" and frames != "-":
+                mark = record_step_mark(int(frames))
             steal = run["notes"].get("host_steal_share", "-")
             if steal != "-":
                 steal = f"{float(steal):.3f}"
@@ -141,6 +176,9 @@ def main():
     parser.add_argument("--json", type=Path,
                         help="also write every run's result and notes here")
     args = parser.parse_args()
+    if len(args.seeds) % 2:
+        parser.error(f"--seeds gives {len(args.seeds)} seeds; give an even "
+                     "number, so each side runs first in half the pairs")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "nn/layers.h"
+#include "tensor/ops.h"
 #include "util/trace.h"
 
 namespace dv {
@@ -10,11 +11,9 @@ namespace dv {
 tensor relu::infer(const tensor& x, std::vector<tensor>* probes) const {
   trace_span span{"nn.relu.forward"};
   tensor out{x.shape()};
-  const float* in = x.data();
-  float* o = out.data();
-  for (std::int64_t i = 0; i < out.numel(); ++i) {
-    o[i] = in[i] > 0.0f ? in[i] : 0.0f;
-  }
+  // Branch-free: a compare-and-branch per element mispredicts on
+  // activations of mixed sign.
+  relu_array(x.data(), x.numel(), out.data());
   record_probe(out, probes);
   return out;
 }

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -19,11 +20,30 @@ constexpr std::int64_t k_sample_grain = 4;
 /// This thread's scratch buffer, resized to `size` floats. Scratch is per
 /// thread rather than per layer, so the const inference forward writes no
 /// member and concurrent slices of one model never share a buffer.
-/// Contents never reach a result: im2col and the beta = 0 GEMM overwrite
-/// every element before it is read.
+/// Contents never reach a result: staging, im2col and the beta = 0 GEMM
+/// overwrite every element before it is read.
 float* thread_scratch(std::vector<float>& buf, std::int64_t size) {
   buf.resize(static_cast<std::size_t>(size));
   return buf.data();
+}
+
+/// Copies one CHW sample of geometry `g` into `dst` as
+/// [in_c, in_h + 2 pad, in_w + 2 pad] with a zero border: the image
+/// conv_direct reads in place of im2col's zero columns.
+void stage_padded(const float* x, const conv_geometry& g, float* dst) {
+  const std::int64_t pad = g.pad;
+  const std::int64_t row = g.in_w + 2 * pad;
+  for (std::int64_t c = 0; c < g.in_c; ++c) {
+    std::fill_n(dst, pad * row, 0.0f);
+    dst += pad * row;
+    for (std::int64_t y = 0; y < g.in_h; ++y, x += g.in_w, dst += row) {
+      std::fill_n(dst, pad, 0.0f);
+      std::copy_n(x, g.in_w, dst + pad);
+      std::fill_n(dst + pad + g.in_w, pad, 0.0f);
+    }
+    std::fill_n(dst, pad * row, 0.0f);
+    dst += pad * row;
+  }
 }
 
 }  // namespace
@@ -67,20 +87,37 @@ tensor conv2d::infer(const tensor& x, std::vector<tensor>* probes) const {
   tensor out{{n, out_c_, oh, ow}};
   const std::int64_t in_stride = in_c_ * g.in_h * g.in_w;
   const std::int64_t out_stride = out_c_ * oh * ow;
+  // A stride-1 conv runs conv_direct on the sample, or on a staged copy
+  // that carries the zero border; a strided one unfolds the sample with
+  // im2col for the GEMM. Both give the bits of im2col + gemm_nn.
+  const bool direct = stride_ == 1;
+  const conv_geometry staged{in_c_, g.in_h + 2 * pad_, g.in_w + 2 * pad_,
+                             kernel_, 1, 0};
+  std::int64_t scratch = g.col_rows() * g.col_cols();
+  if (direct) scratch = pad_ > 0 ? staged.in_c * staged.in_h * staged.in_w : 0;
   // Each sample writes a disjoint slice of `out`, so the batch loop is
-  // embarrassingly parallel; only the im2col scratch is per-thread.
-  // Thread-local im2col/GEMM panels grow to steady-state size once per
-  // thread, then stay warm — the allocation never recurs per sample.
+  // embarrassingly parallel; only the staging or im2col scratch is
+  // per-thread. Thread-local scratch and GEMM panels grow to steady-state
+  // size once per thread, then stay warm — the allocation never recurs
+  // per sample.
   // dv:parallel-safe(disjoint slices) dv-lint: allow(effect:may_allocate)
   parallel_for(0, n, k_sample_grain, [&](std::int64_t begin, std::int64_t end) {
-    thread_local std::vector<float> col_buf;
-    float* col = thread_scratch(col_buf, g.col_rows() * g.col_cols());
+    thread_local std::vector<float> scratch_buf;
+    float* buf = thread_scratch(scratch_buf, scratch);
     for (std::int64_t i = begin; i < end; ++i) {
-      im2col(x.data() + i * in_stride, g, col);
-      gemm_nn(out_c_, g.col_cols(), g.col_rows(), 1.0f, weight_.data(), col,
-              0.0f, out.data() + i * out_stride);
+      const float* sample = x.data() + i * in_stride;
+      float* base = out.data() + i * out_stride;
+      if (!direct) {
+        im2col(sample, g, buf);
+        gemm_nn(out_c_, g.col_cols(), g.col_rows(), 1.0f, weight_.data(), buf,
+                0.0f, base);
+      } else if (pad_ > 0) {
+        stage_padded(sample, g, buf);
+        conv_direct(buf, staged, weight_.data(), out_c_, base);
+      } else {
+        conv_direct(sample, staged, weight_.data(), out_c_, base);
+      }
       if (has_bias_) {
-        float* base = out.data() + i * out_stride;
         for (std::int64_t c = 0; c < out_c_; ++c) {
           add_scalar(base + c * oh * ow, oh * ow, bias_[c]);
         }

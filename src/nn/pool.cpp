@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "nn/layers.h"
+#include "tensor/ops.h"
 #include "util/trace.h"
 
 namespace dv {
@@ -13,19 +14,24 @@ max_pool2d::max_pool2d(std::int64_t window) : window_{window} {
 
 namespace {
 
+/// The max-pool output for input `x`: [N, C, H / window, W / window].
+tensor max_pool_output(const tensor& x, std::int64_t window) {
+  if (x.dim() != 4) throw std::invalid_argument{"max_pool2d: expected 4-D"};
+  const std::int64_t oh = x.extent(2) / window, ow = x.extent(3) / window;
+  if (oh == 0 || ow == 0) {
+    throw std::invalid_argument{"max_pool2d: input smaller than window"};
+  }
+  return tensor{{x.extent(0), x.extent(1), oh, ow}};
+}
+
 /// Max over each window, scanning the window row by row and keeping the
 /// first strict maximum. Stores each maximum's flat input index in
 /// `argmax` when non-null (the training forward's backward cache).
 tensor max_pool(const tensor& x, std::int64_t window,
                 std::vector<std::int64_t>* argmax) {
-  if (x.dim() != 4) throw std::invalid_argument{"max_pool2d: expected 4-D"};
-  const std::int64_t n = x.extent(0), c = x.extent(1), h = x.extent(2),
-                     w = x.extent(3);
-  const std::int64_t oh = h / window, ow = w / window;
-  if (oh == 0 || ow == 0) {
-    throw std::invalid_argument{"max_pool2d: input smaller than window"};
-  }
-  tensor out{{n, c, oh, ow}};
+  tensor out = max_pool_output(x, window);
+  const std::int64_t c = x.extent(1), h = x.extent(2), w = x.extent(3);
+  const std::int64_t n = out.extent(0), oh = out.extent(2), ow = out.extent(3);
   if (argmax != nullptr) {
     argmax->assign(static_cast<std::size_t>(out.numel()), 0);
   }
@@ -64,7 +70,16 @@ tensor max_pool(const tensor& x, std::int64_t window,
 
 tensor max_pool2d::infer(const tensor& x, std::vector<tensor>* probes) const {
   trace_span span{"nn.max_pool2d.forward"};
-  tensor out = max_pool(x, window_, nullptr);
+  tensor out;
+  if (window_ == 2) {
+    // The same scan and the same keep-the-first-strict-maximum rule,
+    // branch-free.
+    out = max_pool_output(x, window_);
+    max_pool2x2(x.data(), x.extent(0) * x.extent(1), x.extent(2),
+                x.extent(3), out.data());
+  } else {
+    out = max_pool(x, window_, nullptr);
+  }
   record_probe(out, probes);
   return out;
 }

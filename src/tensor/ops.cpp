@@ -183,12 +183,28 @@ void gemm_small(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   });
 }
 
+/// gemm_nt with fewer rows than one micro-kernel strip (dense::infer at
+/// batch 1-3): the row kernel reads B's rows where they lie and runs each
+/// element's tiled chain, so no B panel is packed and no zero-padded A
+/// row is multiplied. Serial: at these sizes a pool region costs more
+/// than it saves.
+void gemm_rows(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+               const float* a, const float* b, float beta, float* c) {
+  scale_c(m, n, beta, c);
+  if (alpha == 0.0f || k == 0) return;
+  simd_kernels().gemm_nt_rows(m, n, k, alpha, a, b, c);
+}
+
 void gemm_dispatch(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                    const float* a, bool a_trans, const float* b, bool b_trans,
                    float beta, float* c) {
   if (m <= 0 || n <= 0) return;
+  // The row count may pick the row kernel only because it gives every
+  // row the tiled path's bits (DESIGN.md §8).
   if (2 * n * k < TILED_MIN_ROW_FLOPS) {
     gemm_small(m, n, k, alpha, a, a_trans, b, b_trans, beta, c);
+  } else if (b_trans && !a_trans && m < MR) {
+    gemm_rows(m, n, k, alpha, a, b, beta, c);
   } else {
     gemm_tiled(m, n, k, alpha, a, a_trans, b, b_trans, beta, c);
   }
@@ -303,6 +319,15 @@ void add_scalar(float* x, std::int64_t n, float c) {
 void bn_relu(const float* x, std::int64_t n, float mean, float inv_std,
              float gamma, float beta, float* out) {
   simd_kernels().bn_relu(x, n, mean, inv_std, gamma, beta, out);
+}
+
+void relu_array(const float* x, std::int64_t n, float* out) {
+  simd_kernels().relu(x, n, out);
+}
+
+void max_pool2x2(const float* x, std::int64_t planes, std::int64_t h,
+                 std::int64_t w, float* out) {
+  simd_kernels().max_pool2x2(x, planes, h, w, out);
 }
 
 }  // namespace dv

@@ -8,12 +8,12 @@
 // bit-identical for any DV_THREADS setting: row blocks write disjoint rows
 // of C and the k-accumulation order is fixed by the panel loop structure.
 //
-// The inner loops (micro-kernel, direct convolution, im2col/col2im,
-// reductions) route through the runtime-dispatched SIMD table in
-// tensor/simd/simd.h; results are additionally bit-identical for any
-// DV_SIMD level because every variant runs the same per-element
-// operations and the same fixed 8-lane reduction order (see
-// `simd_reduce_lanes`).
+// The inner loops (micro-kernel, row kernel, direct convolution,
+// im2col/col2im, ReLU, max-pool, reductions) route through the
+// runtime-dispatched SIMD table in tensor/simd/simd.h; results are
+// additionally bit-identical for any DV_SIMD level because every variant
+// runs the same per-element operations and the same fixed 8-lane
+// reduction order (see `simd_reduce_lanes`).
 #pragma once
 
 #include <cstdint>
@@ -27,6 +27,8 @@ void gemm_nn(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
              const float* a, const float* b, float beta, float* c);
 
 /// C[M,N] = alpha * A[M,K] * B[N,K]^T + beta * C (B stored row-major [N,K]).
+/// Fewer than simd_gemm_mr rows run the SIMD row kernel, which reads B in
+/// place and gives each row the bits the tiled GEMM gives it.
 void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
              const float* a, const float* b, float beta, float* c);
 
@@ -105,5 +107,17 @@ void add_scalar(float* x, std::int64_t n, float c);
 /// `out` may be the same array.
 void bn_relu(const float* x, std::int64_t n, float mean, float inv_std,
              float gamma, float beta, float* out);
+
+/// out[i] = x[i] > 0 ? x[i] : 0 for i in [0, n), without a branch: NaN
+/// and -0 map to +0. `x` and `out` may be the same array.
+void relu_array(const float* x, std::int64_t n, float* out);
+
+/// 2x2, stride-2 max-pool of `planes` row-major [h, w] planes into
+/// [h / 2, w / 2] planes (an odd last row or column is dropped). Each
+/// output scans its window row by row from -inf and keeps a value only if
+/// it is greater than the best so far, so NaN never wins and the first of
+/// equal maxima (+0 or -0) is kept.
+void max_pool2x2(const float* x, std::int64_t planes, std::int64_t h,
+                 std::int64_t w, float* out);
 
 }  // namespace dv

@@ -4,8 +4,9 @@
 //
 // Reductions run the canonical 8-lane order as two 4-wide double
 // accumulators; the micro-kernel holds the whole 4x16 tile in eight ymm
-// registers, and the direct convolution up to 6 channels x 16 pixels in
-// twelve. Although -mfma is on per the build contract, the kernels use
+// registers, the row kernel up to 4 rows x 8 outputs fed by 8x8
+// transposes of the weight rows, and the direct convolution up to 6
+// channels x 16 pixels in twelve. Although -mfma is on per the build contract, the kernels use
 // separate mul+add on purpose: fusing rounds once where the scalar
 // reference rounds twice, which would break the DV_SIMD bitwise-identity
 // contract (DESIGN.md §12).
@@ -77,6 +78,101 @@ void gemm_micro_avx2(std::int64_t kc, const float* ap, const float* bp,
   _mm256_storeu_ps(acc + 40, c21);
   _mm256_storeu_ps(acc + 48, c30);
   _mm256_storeu_ps(acc + 56, c31);
+}
+
+/// In-register transpose of an 8x8 block: on entry r[q] holds row q, on
+/// exit column q. Pure data movement.
+void transpose8(__m256 r[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+  r[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+  r[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+  r[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+  r[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+  r[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+  r[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+  r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+}
+
+/// gemm_nt_rows for M rows and the 8 outputs whose b rows start at `b`:
+/// lane l of acc[i] is element (i, l). Eight taps at a time, the 8x8
+/// block of b is transposed so that vector q holds tap p + q of all eight
+/// rows; the panel's last (kc mod 8) taps gather one column each. Each
+/// lane runs gemm_nt_cols_generic's chain.
+template <int M>
+void gemm_nt_block_avx2(std::int64_t n, std::int64_t k, float alpha,
+                        const float* a, const float* b, float* c) {
+  const __m256 alpha_v = _mm256_set1_ps(alpha);
+  for (std::int64_t p0 = 0; p0 < k; p0 += simd_gemm_kc) {
+    const std::int64_t p1 = std::min(k, p0 + simd_gemm_kc);
+    __m256 acc[M];
+    for (int i = 0; i < M; ++i) acc[i] = _mm256_setzero_ps();
+    std::int64_t p = p0;
+    for (; p + 8 <= p1; p += 8) {
+      __m256 col[8];
+      for (int q = 0; q < 8; ++q) col[q] = _mm256_loadu_ps(b + q * k + p);
+      transpose8(col);
+      for (int q = 0; q < 8; ++q) {
+        for (int i = 0; i < M; ++i) {
+          const __m256 av = _mm256_set1_ps(a[i * k + p + q]);
+          acc[i] = _mm256_add_ps(acc[i], _mm256_mul_ps(av, col[q]));
+        }
+      }
+    }
+    for (; p < p1; ++p) {
+      const __m256 col =
+          _mm256_set_ps(b[7 * k + p], b[6 * k + p], b[5 * k + p],
+                        b[4 * k + p], b[3 * k + p], b[2 * k + p],
+                        b[1 * k + p], b[p]);
+      for (int i = 0; i < M; ++i) {
+        const __m256 av = _mm256_set1_ps(a[i * k + p]);
+        acc[i] = _mm256_add_ps(acc[i], _mm256_mul_ps(av, col));
+      }
+    }
+    for (int i = 0; i < M; ++i) {
+      float* dst = c + i * n;
+      _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst),
+                                          _mm256_mul_ps(alpha_v, acc[i])));
+    }
+  }
+}
+
+/// Rows in groups of up to four, outputs in blocks of eight; the last
+/// (n mod 8) outputs run the generic chain.
+void gemm_nt_rows_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
+                       float alpha, const float* a, const float* b,
+                       float* c) {
+  const std::int64_t n8 = n - n % 8;
+  for (std::int64_t i0 = 0; i0 < m; i0 += 4) {
+    const std::int64_t rows = std::min<std::int64_t>(4, m - i0);
+    const float* ai = a + i0 * k;
+    float* ci = c + i0 * n;
+    for (std::int64_t j0 = 0; j0 < n8; j0 += 8) {
+      const float* bj = b + j0 * k;
+      switch (rows) {
+        case 1: gemm_nt_block_avx2<1>(n, k, alpha, ai, bj, ci + j0); break;
+        case 2: gemm_nt_block_avx2<2>(n, k, alpha, ai, bj, ci + j0); break;
+        case 3: gemm_nt_block_avx2<3>(n, k, alpha, ai, bj, ci + j0); break;
+        default: gemm_nt_block_avx2<4>(n, k, alpha, ai, bj, ci + j0); break;
+      }
+    }
+    simd_detail::gemm_nt_cols_generic(rows, n, k, alpha, ai, b, ci, n8, n);
+  }
 }
 
 /// One register tile of conv_direct: MO output channels x NV 8-pixel
@@ -288,6 +384,53 @@ void bn_relu_avx2(const float* x, std::int64_t n, float mean, float inv_std,
   }
 }
 
+void relu_avx2(const float* x, std::int64_t n, float* out) {
+  const __m256 zero = _mm256_setzero_ps();
+  const std::int64_t n8 = n - n % 8;
+  for (std::int64_t i = 0; i < n8; i += 8) {
+    _mm256_storeu_ps(out + i, _mm256_max_ps(_mm256_loadu_ps(x + i), zero));
+  }
+  for (std::int64_t i = n8; i < n; ++i) out[i] = simd_detail::relu_one(x[i]);
+}
+
+/// Even and odd elements of the 16 floats at p: {p[0], p[2], ..., p[14]}
+/// and {p[1], p[3], ..., p[15]}.
+void deinterleave16(const float* p, __m256& even, __m256& odd) {
+  const __m256 lo = _mm256_loadu_ps(p);
+  const __m256 hi = _mm256_loadu_ps(p + 8);
+  // Within each 128-bit half: {lo0, lo2, hi0, hi2}; the 64-bit permute
+  // then orders the halves' pairs as lo, lo, hi, hi.
+  even = _mm256_castpd_ps(_mm256_permute4x64_pd(
+      _mm256_castps_pd(_mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0))),
+      _MM_SHUFFLE(3, 1, 2, 0)));
+  odd = _mm256_castpd_ps(_mm256_permute4x64_pd(
+      _mm256_castps_pd(_mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 3, 1))),
+      _MM_SHUFFLE(3, 1, 2, 0)));
+}
+
+/// Eight outputs per vector, each the max_pool2x2_cols_generic chain:
+/// max(v, best) keeps best on NaN and on ties, as max_step does.
+void max_pool2x2_cols_avx2(const float* r0, const float* r1, std::int64_t ow,
+                           float* dst) {
+  const __m256 ninf = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  const std::int64_t ow8 = ow - ow % 8;
+  for (std::int64_t ox = 0; ox < ow8; ox += 8) {
+    __m256 e0, o0, e1, o1;
+    deinterleave16(r0 + 2 * ox, e0, o0);
+    deinterleave16(r1 + 2 * ox, e1, o1);
+    __m256 best = _mm256_max_ps(e0, ninf);
+    best = _mm256_max_ps(o0, best);
+    best = _mm256_max_ps(e1, best);
+    _mm256_storeu_ps(dst + ox, _mm256_max_ps(o1, best));
+  }
+  simd_detail::max_pool2x2_cols_generic(r0, r1, ow8, ow, dst);
+}
+
+void max_pool2x2_avx2(const float* x, std::int64_t planes, std::int64_t h,
+                      std::int64_t w, float* out) {
+  simd_detail::max_pool2x2_impl(x, planes, h, w, out, max_pool2x2_cols_avx2);
+}
+
 void add_rows_avx2(float* dst, const float* src, std::int64_t n) {
   const std::int64_t n8 = n - n % 8;
   for (std::int64_t i = 0; i < n8; i += 8) {
@@ -309,11 +452,14 @@ extern const simd_kernel_table k_simd_table_avx2;
 const simd_kernel_table k_simd_table_avx2 = {
     simd_level::avx2,
     gemm_micro_avx2,
+    gemm_nt_rows_avx2,
     conv_direct_avx2,
     simd_detail::im2col_shared,
     col2im_avx2,
     add_scalar_avx2,
     bn_relu_avx2,
+    relu_avx2,
+    max_pool2x2_avx2,
     array_sum_avx2,
     squared_distance_avx2,
     squared_distance_row_avx2,

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "tensor/ops.h"
 #include "tensor/simd/simd.h"
@@ -98,6 +99,35 @@ inline void conv_direct_generic(const float* image, const conv_geometry& g,
                                 const float* weight, std::int64_t out_c,
                                 float* out) {
   conv_direct_cols_generic(image, g, weight, out_c, 0, g.out_w(), out);
+}
+
+/// gemm_nt_rows over output columns [j0, j1) of every row. Each element
+/// runs the tiled GEMM's chain (gemm_micro_generic on the packed panels):
+/// per simd_gemm_kc panel `acc` starts at +0 and adds a[i][p] * b[j][p]
+/// for p ascending, then c[i][j] += alpha * acc. The vector variants run
+/// the same chain per lane and call this for their column tails.
+inline void gemm_nt_cols_generic(std::int64_t m, std::int64_t n,
+                                 std::int64_t k, float alpha, const float* a,
+                                 const float* b, float* c, std::int64_t j0,
+                                 std::int64_t j1) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    for (std::int64_t j = j0; j < j1; ++j) {
+      const float* brow = b + j * k;
+      for (std::int64_t p0 = 0; p0 < k; p0 += simd_gemm_kc) {
+        const std::int64_t p1 = std::min(k, p0 + simd_gemm_kc);
+        float acc = 0.0f;
+        for (std::int64_t p = p0; p < p1; ++p) acc += arow[p] * brow[p];
+        c[i * n + j] += alpha * acc;
+      }
+    }
+  }
+}
+
+inline void gemm_nt_rows_generic(std::int64_t m, std::int64_t n,
+                                 std::int64_t k, float alpha, const float* a,
+                                 const float* b, float* c) {
+  gemm_nt_cols_generic(m, n, k, alpha, a, b, c, 0, n);
 }
 
 inline double squared_distance_generic(const float* a, const float* b,
@@ -188,15 +218,22 @@ inline void add_scalar_generic(float* x, std::int64_t n, float c) {
   for (std::int64_t i = 0; i < n; ++i) x[i] += c;
 }
 
-/// batch_norm::infer's per-element arithmetic then relu::infer's. The
-/// vector variants compute the same three roundings and take
-/// max(o, 0) with the zero second, which returns +0 for NaN and -0
-/// exactly as `o > 0 ? o : 0` does.
+/// The ReLU of every level. The vector variants take max(o, 0) with the
+/// zero as the second operand, which returns +0 for NaN and -0 exactly as
+/// this does (the other operand order returns NaN and -0).
+inline float relu_one(float o) { return o > 0.0f ? o : 0.0f; }
+
+inline void relu_generic(const float* x, std::int64_t n, float* out) {
+  for (std::int64_t i = 0; i < n; ++i) out[i] = relu_one(x[i]);
+}
+
+/// batch_norm::infer's per-element arithmetic then relu_one. The vector
+/// variants compute the same three roundings.
 inline float bn_relu_one(float x, float mean, float inv_std, float gamma,
                          float beta) {
   const float h = (x - mean) * inv_std;
   const float o = gamma * h + beta;
-  return o > 0.0f ? o : 0.0f;
+  return relu_one(o);
 }
 
 inline void bn_relu_generic(const float* x, std::int64_t n, float mean,
@@ -205,6 +242,47 @@ inline void bn_relu_generic(const float* x, std::int64_t n, float mean,
   for (std::int64_t i = 0; i < n; ++i) {
     out[i] = bn_relu_one(x[i], mean, inv_std, gamma, beta);
   }
+}
+
+/// One step of a max-pool chain: the vector max with the running best as
+/// the second operand, so NaN and a tie keep `best`.
+inline float max_step(float v, float best) { return v > best ? v : best; }
+
+/// Output columns [x0, x1) of one 2x2 max-pool row: r0 and r1 are the two
+/// input rows, scanned (r0, r0 + 1, r1, r1 + 1) from -inf.
+inline void max_pool2x2_cols_generic(const float* r0, const float* r1,
+                                     std::int64_t x0, std::int64_t x1,
+                                     float* dst) {
+  for (std::int64_t ox = x0; ox < x1; ++ox) {
+    float best = max_step(r0[2 * ox], -std::numeric_limits<float>::infinity());
+    best = max_step(r0[2 * ox + 1], best);
+    best = max_step(r1[2 * ox], best);
+    dst[ox] = max_step(r1[2 * ox + 1], best);
+  }
+}
+
+/// Every 2x2 max-pool row of every plane; `cols` pools one output row.
+template <typename Cols>
+inline void max_pool2x2_impl(const float* x, std::int64_t planes,
+                             std::int64_t h, std::int64_t w, float* out,
+                             Cols cols) {
+  const std::int64_t oh = h / 2, ow = w / 2;
+  for (std::int64_t pl = 0; pl < planes; ++pl) {
+    const float* plane = x + pl * h * w;
+    for (std::int64_t oy = 0; oy < oh; ++oy, out += ow) {
+      const float* r0 = plane + 2 * oy * w;
+      cols(r0, r0 + w, ow, out);
+    }
+  }
+}
+
+inline void max_pool2x2_generic(const float* x, std::int64_t planes,
+                                std::int64_t h, std::int64_t w, float* out) {
+  max_pool2x2_impl(x, planes, h, w, out,
+                   [](const float* r0, const float* r1, std::int64_t ow,
+                      float* dst) {
+                     max_pool2x2_cols_generic(r0, r1, 0, ow, dst);
+                   });
 }
 
 /// im2col is pure data movement (copies and zero fills), so one shared

@@ -5,8 +5,9 @@
 //
 // Reductions run the canonical 8-lane order as four 2-wide double
 // accumulators; the micro-kernel processes the 4x16 tile in four 4-column
-// passes, and the direct convolution holds up to 6 channels x 8 pixels in
-// twelve xmm registers. No FMA anywhere (see DESIGN.md §12).
+// passes, the row kernel holds up to 4 rows x 4 outputs fed by 4x4
+// transposes, and the direct convolution holds up to 6 channels x 8
+// pixels in twelve xmm registers. No FMA anywhere (see DESIGN.md §12).
 #include "tensor/simd/kernels_generic.h"
 #include "tensor/simd/simd.h"
 
@@ -60,6 +61,81 @@ void gemm_micro_sse2(std::int64_t kc, const float* ap, const float* bp,
     _mm_storeu_ps(acc1, c1);
     _mm_storeu_ps(acc2, c2);
     _mm_storeu_ps(acc3, c3);
+  }
+}
+
+/// In-register transpose of a 4x4 block: on entry r[q] holds row q, on
+/// exit column q.
+void transpose4(__m128 r[4]) {
+  const __m128 t0 = _mm_unpacklo_ps(r[0], r[1]);
+  const __m128 t1 = _mm_unpackhi_ps(r[0], r[1]);
+  const __m128 t2 = _mm_unpacklo_ps(r[2], r[3]);
+  const __m128 t3 = _mm_unpackhi_ps(r[2], r[3]);
+  r[0] = _mm_movelh_ps(t0, t2);
+  r[1] = _mm_movehl_ps(t2, t0);
+  r[2] = _mm_movelh_ps(t1, t3);
+  r[3] = _mm_movehl_ps(t3, t1);
+}
+
+/// gemm_nt_rows for M rows and the 4 outputs whose b rows start at `b`
+/// (see gemm_nt_block_avx2): 4x4 transposes, one column gather per
+/// leftover tap.
+template <int M>
+void gemm_nt_block_sse2(std::int64_t n, std::int64_t k, float alpha,
+                        const float* a, const float* b, float* c) {
+  const __m128 alpha_v = _mm_set1_ps(alpha);
+  for (std::int64_t p0 = 0; p0 < k; p0 += simd_gemm_kc) {
+    const std::int64_t p1 = std::min(k, p0 + simd_gemm_kc);
+    __m128 acc[M];
+    for (int i = 0; i < M; ++i) acc[i] = _mm_setzero_ps();
+    std::int64_t p = p0;
+    for (; p + 4 <= p1; p += 4) {
+      __m128 col[4];
+      for (int q = 0; q < 4; ++q) col[q] = _mm_loadu_ps(b + q * k + p);
+      transpose4(col);
+      for (int q = 0; q < 4; ++q) {
+        for (int i = 0; i < M; ++i) {
+          const __m128 av = _mm_set1_ps(a[i * k + p + q]);
+          acc[i] = _mm_add_ps(acc[i], _mm_mul_ps(av, col[q]));
+        }
+      }
+    }
+    for (; p < p1; ++p) {
+      const __m128 col =
+          _mm_set_ps(b[3 * k + p], b[2 * k + p], b[1 * k + p], b[p]);
+      for (int i = 0; i < M; ++i) {
+        const __m128 av = _mm_set1_ps(a[i * k + p]);
+        acc[i] = _mm_add_ps(acc[i], _mm_mul_ps(av, col));
+      }
+    }
+    for (int i = 0; i < M; ++i) {
+      float* dst = c + i * n;
+      _mm_storeu_ps(dst, _mm_add_ps(_mm_loadu_ps(dst),
+                                    _mm_mul_ps(alpha_v, acc[i])));
+    }
+  }
+}
+
+/// Rows in groups of up to four, outputs in blocks of four; the last
+/// (n mod 4) outputs run the generic chain.
+void gemm_nt_rows_sse2(std::int64_t m, std::int64_t n, std::int64_t k,
+                       float alpha, const float* a, const float* b,
+                       float* c) {
+  const std::int64_t n4 = n - n % 4;
+  for (std::int64_t i0 = 0; i0 < m; i0 += 4) {
+    const std::int64_t rows = std::min<std::int64_t>(4, m - i0);
+    const float* ai = a + i0 * k;
+    float* ci = c + i0 * n;
+    for (std::int64_t j0 = 0; j0 < n4; j0 += 4) {
+      const float* bj = b + j0 * k;
+      switch (rows) {
+        case 1: gemm_nt_block_sse2<1>(n, k, alpha, ai, bj, ci + j0); break;
+        case 2: gemm_nt_block_sse2<2>(n, k, alpha, ai, bj, ci + j0); break;
+        case 3: gemm_nt_block_sse2<3>(n, k, alpha, ai, bj, ci + j0); break;
+        default: gemm_nt_block_sse2<4>(n, k, alpha, ai, bj, ci + j0); break;
+      }
+    }
+    simd_detail::gemm_nt_cols_generic(rows, n, k, alpha, ai, b, ci, n4, n);
   }
 }
 
@@ -299,6 +375,41 @@ void bn_relu_sse2(const float* x, std::int64_t n, float mean, float inv_std,
   }
 }
 
+void relu_sse2(const float* x, std::int64_t n, float* out) {
+  const __m128 zero = _mm_setzero_ps();
+  const std::int64_t n4 = n - n % 4;
+  for (std::int64_t i = 0; i < n4; i += 4) {
+    _mm_storeu_ps(out + i, _mm_max_ps(_mm_loadu_ps(x + i), zero));
+  }
+  for (std::int64_t i = n4; i < n; ++i) out[i] = simd_detail::relu_one(x[i]);
+}
+
+/// Four outputs per vector (see max_pool2x2_cols_avx2); one shuffle
+/// splits 8 floats into their even and odd elements.
+void max_pool2x2_cols_sse2(const float* r0, const float* r1, std::int64_t ow,
+                           float* dst) {
+  const __m128 ninf = _mm_set1_ps(-std::numeric_limits<float>::infinity());
+  const std::int64_t ow4 = ow - ow % 4;
+  for (std::int64_t ox = 0; ox < ow4; ox += 4) {
+    const __m128 a0 = _mm_loadu_ps(r0 + 2 * ox);
+    const __m128 a1 = _mm_loadu_ps(r0 + 2 * ox + 4);
+    const __m128 b0 = _mm_loadu_ps(r1 + 2 * ox);
+    const __m128 b1 = _mm_loadu_ps(r1 + 2 * ox + 4);
+    __m128 best =
+        _mm_max_ps(_mm_shuffle_ps(a0, a1, _MM_SHUFFLE(2, 0, 2, 0)), ninf);
+    best = _mm_max_ps(_mm_shuffle_ps(a0, a1, _MM_SHUFFLE(3, 1, 3, 1)), best);
+    best = _mm_max_ps(_mm_shuffle_ps(b0, b1, _MM_SHUFFLE(2, 0, 2, 0)), best);
+    best = _mm_max_ps(_mm_shuffle_ps(b0, b1, _MM_SHUFFLE(3, 1, 3, 1)), best);
+    _mm_storeu_ps(dst + ox, best);
+  }
+  simd_detail::max_pool2x2_cols_generic(r0, r1, ow4, ow, dst);
+}
+
+void max_pool2x2_sse2(const float* x, std::int64_t planes, std::int64_t h,
+                      std::int64_t w, float* out) {
+  simd_detail::max_pool2x2_impl(x, planes, h, w, out, max_pool2x2_cols_sse2);
+}
+
 void add_rows_sse2(float* dst, const float* src, std::int64_t n) {
   const std::int64_t n4 = n - n % 4;
   for (std::int64_t i = 0; i < n4; i += 4) {
@@ -325,11 +436,14 @@ const simd_kernel_table k_simd_table_sse2 = {
     simd_level::sse2,
 #if defined(__SSE2__)
     gemm_micro_sse2,
+    gemm_nt_rows_sse2,
     conv_direct_sse2,
     simd_detail::im2col_shared,
     col2im_sse2,
     add_scalar_sse2,
     bn_relu_sse2,
+    relu_sse2,
+    max_pool2x2_sse2,
     array_sum_sse2,
     squared_distance_sse2,
     squared_distance_row_sse2,
@@ -338,11 +452,14 @@ const simd_kernel_table k_simd_table_sse2 = {
     l1_distance_sse2,
 #else
     simd_detail::gemm_micro_generic,
+    simd_detail::gemm_nt_rows_generic,
     simd_detail::conv_direct_generic,
     simd_detail::im2col_shared,
     simd_detail::col2im_generic,
     simd_detail::add_scalar_generic,
     simd_detail::bn_relu_generic,
+    simd_detail::relu_generic,
+    simd_detail::max_pool2x2_generic,
     simd_detail::array_sum_generic,
     simd_detail::squared_distance_generic,
     simd_detail::squared_distance_row_generic,

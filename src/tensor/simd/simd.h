@@ -1,6 +1,6 @@
 // SIMD kernel layer: runtime-dispatched vector variants of the hot loops
-// (GEMM micro-kernel, direct convolution, im2col/col2im, distance/dot/sum
-// reductions).
+// (GEMM micro-kernel and row kernel, direct convolution, im2col/col2im,
+// ReLU and 2x2 max-pool, distance/dot/sum reductions).
 //
 // A one-time cpuid probe (util/cpuid.h) selects the widest supported table
 // at startup; `DV_SIMD` (`scalar|sse2|avx2|auto`) overrides the choice, and
@@ -61,6 +61,16 @@ struct simd_kernel_table {
   void (*gemm_micro_kernel)(std::int64_t kc, const float* ap, const float* bp,
                             float* acc){nullptr};
 
+  /// c[i][j] += alpha * panel sum, for i < m and j < n, with a [m, k] and
+  /// b [n, k] row-major, read where they lie: the tiled GEMM's chain for
+  /// gemm_nt without packing. Per simd_gemm_kc panel, an accumulator
+  /// starts at +0 and adds a[i][p] * b[j][p] for p ascending (separate
+  /// multiply and add), then folds as c += alpha * acc. The caller has
+  /// already scaled c by beta.
+  void (*gemm_nt_rows)(std::int64_t m, std::int64_t n, std::int64_t k,
+                       float alpha, const float* a, const float* b,
+                       float* c){nullptr};
+
   /// Stride-1, pad-0 convolution of one CHW image straight into
   /// out[out_c, out_h * out_w], weight [out_c, col_rows] (see conv_direct
   /// in tensor/ops.h). Each output element sums its taps p = (c, ky, kx)
@@ -85,6 +95,15 @@ struct simd_kernel_table {
   /// in tensor/ops.h).
   void (*bn_relu)(const float* x, std::int64_t n, float mean, float inv_std,
                   float gamma, float beta, float* out){nullptr};
+
+  /// out[i] = x[i] > 0 ? x[i] : +0 for i in [0, n), so NaN and -0 map
+  /// to +0 (see relu in tensor/ops.h).
+  void (*relu)(const float* x, std::int64_t n, float* out){nullptr};
+
+  /// 2x2, stride-2 max-pool of `planes` row-major [h, w] planes into
+  /// [h / 2, w / 2] planes (see max_pool2x2 in tensor/ops.h).
+  void (*max_pool2x2)(const float* x, std::int64_t planes, std::int64_t h,
+                      std::int64_t w, float* out){nullptr};
 
   /// sum_i x[i] in the 8-lane canonical order.
   double (*array_sum)(const float* x, std::int64_t n){nullptr};

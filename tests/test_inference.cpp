@@ -279,6 +279,64 @@ TEST(InferenceIdentity, EveryLayerKindMatchesStatefulForward) {
   }
 }
 
+/// conv2d::infer's reference: per sample, im2col, then gemm_nn, then the
+/// bias added to every element of its channel.
+tensor im2col_gemm_conv(const conv2d& conv, const tensor* bias,
+                        std::int64_t pad, const tensor& x) {
+  const conv_geometry g{x.extent(1), x.extent(2), x.extent(3), 3, 1, pad};
+  const std::int64_t n = x.extent(0), out_c = conv.out_channels();
+  const std::int64_t plane = g.col_cols();
+  tensor out{{n, out_c, g.out_h(), g.out_w()}};
+  tensor col{{g.col_rows(), g.col_cols()}};
+  for (std::int64_t i = 0; i < n; ++i) {
+    im2col(x.data() + i * g.in_c * g.in_h * g.in_w, g, col.data());
+    float* y = out.data() + i * out_c * plane;
+    gemm_nn(out_c, plane, g.col_rows(), 1.0f, conv.weight().data(),
+            col.data(), 0.0f, y);
+    for (std::int64_t c = 0; bias != nullptr && c < out_c; ++c) {
+      for (std::int64_t p = 0; p < plane; ++p) y[c * plane + p] += (*bias)[c];
+    }
+  }
+  return out;
+}
+
+TEST(InferenceIdentity, Conv2dInferMatchesIm2colGemmReference) {
+  pool_state_guard guard;
+  // Stride-1 conv2d::infer convolves a zero-bordered copy of each sample
+  // with conv_direct; it must give the bits of im2col + gemm_nn + bias.
+  // 30 input channels make 270 taps, two k panels.
+  int cases = 0;
+  for (const std::int64_t in_c : {3, 30}) {
+    for (const std::int64_t pad : {0, 1, 2}) {
+      for (const bool bias : {true, false}) {
+        rng gen{static_cast<std::uint64_t>(300 + 10 * in_c + 2 * pad + bias)};
+        conv2d conv{in_c, 7, 3, 1, pad, gen, bias};
+        for (const param_ref& p : conv.params()) {
+          *p.value = tensor::randn(p.value->shape(), gen);
+        }
+        const tensor* b = bias ? conv.params()[1].value : nullptr;
+        for (const std::int64_t w : {5, 7, 9, 33}) {
+          for (const std::int64_t n : {1, 5}) {
+            const tensor x = tensor::randn({n, in_c, 6, w}, gen);
+            const tensor want = im2col_gemm_conv(conv, b, pad, x);
+            for (const auto& s : settings()) {
+              set_simd_level(s.first);
+              set_thread_count(s.second);
+              EXPECT_TRUE(bitwise_equal(conv.infer(x, nullptr), want))
+                  << "in_c=" << in_c << " pad=" << pad << " bias=" << bias
+                  << " w=" << w << " n=" << n << " " << setting_name(s);
+            }
+            reset_simd_level();
+            set_thread_count(0);
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 96);
+}
+
 // -- Model factories ----------------------------------------------------------------
 
 /// Probes of `model` on `x` from the stateful path: each probe layer's

@@ -2,9 +2,11 @@
 // and DV_SIMD startup semantics, plus the bitwise-identity contract — every
 // supported dispatch level must produce byte-identical results for GEMM,
 // conv2d forward/backward, the direct convolution (which must also equal
-// im2col + GEMM), BN -> ReLU staging, RBF kernel rows, decision_batch, the
-// reduction primitives, and full deep_validator scores, across DV_THREADS
-// {1, 8}.
+// im2col + GEMM), BN -> ReLU staging, ReLU, 2x2 max-pool and the GEMM row
+// kernel (each also equal to an explicit reference, and gemm_nt's few-row
+// path to the tiled rows), RBF kernel rows, decision_batch, the reduction
+// primitives, and full deep_validator scores, across DV_THREADS {1, 8}
+// (the newer kernel tests also at 4).
 // Levels the host cannot run are skipped, never failed.
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "svm/kernel.h"
 #include "svm/one_class_svm.h"
 #include "tensor/ops.h"
+#include "tensor/simd/kernels_generic.h"
 #include "tensor/simd/simd.h"
 #include "test_util.h"
 #include "util/thread_pool.h"
@@ -324,6 +327,224 @@ TEST(SimdIdentity, BnReluMatchesBatchNormThenRelu) {
       });
       EXPECT_TRUE(bitwise_equal(got, want))
           << "n=" << n << " at " << simd_level_name(level);
+    }
+  }
+}
+
+// -- ReLU, 2x2 max-pool and the GEMM row kernel ------------------------------------
+
+constexpr float k_nan = std::numeric_limits<float>::quiet_NaN();
+constexpr float k_inf = std::numeric_limits<float>::infinity();
+
+/// planted_randn plus NaN, +Inf and -Inf at seeded positions.
+tensor nonfinite_randn(const std::vector<std::int64_t>& shape, rng& gen) {
+  tensor t = planted_randn(shape, gen);
+  const float planted[] = {k_nan, k_inf, -k_inf};
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    const int pick = gen.uniform_int(0, 19);
+    if (pick < 3) t.data()[i] = planted[pick];
+  }
+  return t;
+}
+
+/// Every (level, DV_THREADS) pair the kernel identity tests sweep.
+std::vector<std::pair<simd_level, int>> level_thread_pairs() {
+  std::vector<std::pair<simd_level, int>> out;
+  for (const auto level : supported_levels()) {
+    for (const int threads : {1, 4, 8}) out.emplace_back(level, threads);
+  }
+  return out;
+}
+
+std::string where(const std::pair<simd_level, int>& s) {
+  return std::string{simd_level_name(s.first)} +
+         " threads=" + std::to_string(s.second);
+}
+
+TEST(SimdIdentity, ReluMatchesTernaryReferenceAtEveryLevel) {
+  simd_state_guard guard;
+  rng gen{71};
+  for (std::int64_t n = 1; n <= 67; ++n) {
+    const tensor x = nonfinite_randn({n}, gen);
+    tensor want{{n}};
+    for (std::int64_t i = 0; i < n; ++i) {
+      want.data()[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    }
+    tensor generic{{n}};
+    simd_detail::relu_generic(x.data(), n, generic.data());
+    EXPECT_TRUE(bitwise_equal(generic, want)) << "generic n=" << n;
+    for (const auto& s : level_thread_pairs()) {
+      tensor got = tensor::full({n}, 7.0f);
+      at_level(s.first, s.second, [&] {
+        relu_array(x.data(), n, got.data());
+        return 0;
+      });
+      EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n << " " << where(s);
+      // In place, as a caller may run it.
+      tensor inplace = x;
+      at_level(s.first, s.second, [&] {
+        relu_array(inplace.data(), n, inplace.data());
+        return 0;
+      });
+      EXPECT_TRUE(bitwise_equal(inplace, want))
+          << "in place n=" << n << " " << where(s);
+    }
+  }
+}
+
+TEST(SimdIdentity, MaxPool2x2MatchesBranchingReferenceAtEveryLevel) {
+  simd_state_guard guard;
+  rng gen{73};
+  int cases = 0;
+  for (const std::int64_t h : {2, 3, 5, 8}) {
+    for (std::int64_t w = 2; w <= 41; ++w) {
+      const std::int64_t planes = 1 + (h + w) % 3;
+      const std::int64_t oh = h / 2, ow = w / 2;
+      tensor x = nonfinite_randn({planes, h, w}, gen);
+      // A window of four NaNs (pools to -inf) and a +0/-0 tie (keeps the
+      // first) in the first plane.
+      x.data()[0] = x.data()[1] = x.data()[w] = x.data()[w + 1] = k_nan;
+      if (w >= 4) {
+        x.data()[2] = -0.0f;
+        x.data()[3] = 0.0f;
+        x.data()[w + 2] = x.data()[w + 3] = -1.0f;
+      }
+      // The pre-kernel max_pool2d loop: keep a value only if it is greater
+      // than the best so far.
+      tensor want{{planes, oh, ow}};
+      for (std::int64_t pl = 0; pl < planes; ++pl) {
+        const float* plane = x.data() + pl * h * w;
+        for (std::int64_t oy = 0; oy < oh; ++oy) {
+          for (std::int64_t ox = 0; ox < ow; ++ox) {
+            float best = -k_inf;
+            for (std::int64_t ky = 0; ky < 2; ++ky) {
+              for (std::int64_t kx = 0; kx < 2; ++kx) {
+                const float v = plane[(2 * oy + ky) * w + 2 * ox + kx];
+                if (v > best) best = v;
+              }
+            }
+            want.data()[(pl * oh + oy) * ow + ox] = best;
+          }
+        }
+      }
+      tensor generic{{planes, oh, ow}};
+      simd_detail::max_pool2x2_generic(x.data(), planes, h, w, generic.data());
+      EXPECT_TRUE(bitwise_equal(generic, want))
+          << "generic h=" << h << " w=" << w;
+      for (const auto& s : level_thread_pairs()) {
+        tensor got = tensor::full({planes, oh, ow}, 7.0f);
+        at_level(s.first, s.second, [&] {
+          max_pool2x2(x.data(), planes, h, w, got.data());
+          return 0;
+        });
+        EXPECT_TRUE(bitwise_equal(got, want))
+            << "h=" << h << " w=" << w << " planes=" << planes << " "
+            << where(s);
+      }
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 160);
+}
+
+/// Bitwise equal, except that any two NaNs match: when two NaNs of
+/// different payloads meet in one chain, which payload survives depends
+/// on the operand order the compiler picked for the scalar reference.
+bool same_bits_or_both_nan(const tensor& a, const tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(a.data() + i, b.data() + i, sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Sets NaN, +Inf and -Inf, in turn, at `count` seeded positions of the
+/// rows [first_row, rows) of a [rows, cols] tensor. A non-finite value
+/// makes every output whose chain reads it non-finite, so the row-kernel
+/// test plants few of them and keeps most outputs finite.
+void plant_nonfinite(tensor& t, std::int64_t first_row, int count, rng& gen) {
+  const std::int64_t rows = t.extent(0), cols = t.extent(1);
+  const float planted[] = {k_nan, k_inf, -k_inf};
+  for (int i = 0; i < count && first_row < rows; ++i) {
+    const std::int64_t r = gen.uniform_int(static_cast<int>(first_row),
+                                           static_cast<int>(rows - 1));
+    const std::int64_t c = gen.uniform_int(0, static_cast<int>(cols - 1));
+    t.data()[r * cols + c] = planted[i % 3];
+  }
+}
+
+TEST(SimdIdentity, GemmNtRowKernelMatchesGenericAtEveryLevel) {
+  simd_state_guard guard;
+  rng gen{79};
+  // k: below one vector, one vector, one whole panel, two panels with a
+  // short last one, and the street CNN's 2048 (eight panels); n: vector
+  // tails at both widths and the 96 outputs of the street dense layers.
+  // Non-finite values sit in three b rows and, with two or more rows, in
+  // the rows of a after the first.
+  for (const std::int64_t k : {5, 8, 256, 300, 2048}) {
+    for (const std::int64_t n : {1, 7, 13, 96, 97}) {
+      for (const std::int64_t m : {1, 2, 3, 5}) {
+        tensor a = planted_randn({m, k}, gen);
+        tensor b = planted_randn({n, k}, gen);
+        plant_nonfinite(a, 1, 1, gen);
+        plant_nonfinite(b, 0, 3, gen);
+        const tensor c0 = planted_randn({m, n}, gen);
+        const float alpha = 0.75f;
+        tensor want = c0;
+        simd_detail::gemm_nt_rows_generic(m, n, k, alpha, a.data(), b.data(),
+                                          want.data());
+        for (const auto& s : level_thread_pairs()) {
+          tensor got = c0;
+          at_level(s.first, s.second, [&] {
+            simd_kernels().gemm_nt_rows(m, n, k, alpha, a.data(), b.data(),
+                                        got.data());
+            return 0;
+          });
+          EXPECT_TRUE(same_bits_or_both_nan(got, want))
+              << "m=" << m << " n=" << n << " k=" << k << " " << where(s);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdIdentity, GemmNtFewRowsMatchTheSameRowsOfTheTiledPath) {
+  simd_state_guard guard;
+  rng gen{83};
+  // Rows computed at m = 1, 2 and 3 (the row kernel) must equal the same
+  // rows computed inside a 7-row call (the packed, tiled path), for every
+  // beta the dense and conv2d callers use.
+  constexpr std::int64_t big_m = 7;
+  for (const std::int64_t k : {2048, 300}) {
+    for (const std::int64_t n : {97, 13}) {
+      const tensor a = planted_randn({big_m, k}, gen);
+      const tensor b = planted_randn({n, k}, gen);
+      const tensor c0 = planted_randn({big_m, n}, gen);
+      for (const float beta : {0.0f, 1.0f, 0.5f}) {
+        const float alpha = beta == 0.5f ? -1.25f : 1.0f;
+        for (const auto& s : level_thread_pairs()) {
+          at_level(s.first, s.second, [&] {
+            tensor whole = c0;
+            gemm_nt(big_m, n, k, alpha, a.data(), b.data(), beta,
+                    whole.data());
+            for (const std::int64_t m : {1, 2, 3}) {
+              for (std::int64_t r = 0; r + m <= big_m; r += m) {
+                tensor part = c0.slice_rows(r, r + m);
+                if (beta == 0.0f) part.fill(k_nan);  // must not be read
+                gemm_nt(m, n, k, alpha, a.data() + r * k, b.data(), beta,
+                        part.data());
+                EXPECT_TRUE(bitwise_equal(part, whole.slice_rows(r, r + m)))
+                    << "rows " << r << ".." << r + m << " n=" << n
+                    << " k=" << k << " beta=" << beta << " " << where(s);
+              }
+            }
+            return 0;
+          });
+        }
+      }
     }
   }
 }
