@@ -213,9 +213,10 @@ void bm_conv2d_infer(benchmark::State& state) {
 BENCHMARK(bm_conv2d_infer)->Apply(street_conv_shapes);
 
 /// relu::infer and the 2x2 max_pool2d::infer on the street CNN's first
-/// [16, 32, 32] activation, and dense::infer of its 2048 -> 96 layer, at
-/// batch 1 on one thread. Inputs are standard normal, so about half the
-/// activations are negative (the case a compare-and-branch mispredicts).
+/// [16, 32, 32] activation at batch 1, and dense::infer of its 2048 -> 96
+/// layer at batch 1 and 4 (one inference slice), on one thread. Inputs
+/// are standard normal, so about half the activations are negative (the
+/// case a compare-and-branch mispredicts).
 void bm_relu_infer(benchmark::State& state) {
   thread_arg threads{1};
   rng gen{15};
@@ -246,14 +247,14 @@ void bm_dense_infer(benchmark::State& state) {
   thread_arg threads{1};
   rng gen{17};
   const dense layer{2048, 96, gen};
-  const tensor x = tensor::randn({1, 2048}, gen);
+  const tensor x = tensor::randn({state.range(0), 2048}, gen);
   for (auto _ : state) {
     tensor y = layer.infer(x, nullptr);
     benchmark::DoNotOptimize(y.data());
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(bm_dense_infer);
+BENCHMARK(bm_dense_infer)->Arg(1)->Arg(4)->ArgName("batch");
 
 void bm_conv_backward(benchmark::State& state) {
   rng gen{5};
@@ -324,33 +325,51 @@ struct cache_arg {
 /// DenseNet at batch 32, the batch sizes of a refit and an audit chunk,
 /// and the street CNN at batch 1, a live stream's batch. Weights are the
 /// untrained factory ones; the cost does not depend on them. Arguments:
-/// model (0 street, 1 objects), batch, threads.
+/// model (0 street, 1 objects), batch, threads, and probes: 0 the raw
+/// probes alone; 1 the raw probes, then every probe's probe_features at
+/// spatial 1, as fit and the bank read them before the slices reduced
+/// them; 2 every probe reduced at spatial 1 inside its inference slice,
+/// then probe_features, as fit and the bank read them now.
 void bm_extract_activations(benchmark::State& state) {
   thread_arg threads{state.range(2)};
   const auto kind =
       state.range(0) == 0 ? dataset_kind::street : dataset_kind::objects;
+  const std::int64_t probes = state.range(3);
   const std::unique_ptr<sequential> model = make_model(kind, 7);
   rng gen{13};
   const tensor x =
       tensor::uniform({state.range(1), 3, 32, 32}, gen, 0.0f, 1.0f);
   for (auto _ : state) {
-    activation_batch acts = extract_activations(*model, x);
+    const activation_batch acts = probes == 2
+                                      ? extract_activations(*model, x, 1)
+                                      : extract_activations(*model, x);
     benchmark::DoNotOptimize(acts.logits.data());
+    for (int p = 0; probes > 0 && p < acts.probe_count(); ++p) {
+      benchmark::DoNotOptimize(acts.probe_features(p, 1).data());
+    }
   }
   state.SetItemsProcessed(state.iterations() * state.range(1));
 }
 BENCHMARK(bm_extract_activations)
-    ->Args({0, 1, 1})
-    ->Args({0, 1, 2})
-    ->Args({0, 1, 3})
-    ->Args({0, 1, 4})
-    ->Args({0, 128, 1})
-    ->Args({0, 128, 2})
-    ->Args({0, 128, 4})
-    ->Args({1, 32, 1})
-    ->Args({1, 32, 2})
-    ->Args({1, 32, 4})
-    ->ArgNames({"objects", "batch", "threads"})
+    ->Args({0, 1, 1, 0})
+    ->Args({0, 1, 2, 0})
+    ->Args({0, 1, 3, 0})
+    ->Args({0, 1, 4, 0})
+    ->Args({0, 128, 1, 0})
+    ->Args({0, 128, 2, 0})
+    ->Args({0, 128, 4, 0})
+    ->Args({0, 128, 1, 1})
+    ->Args({0, 128, 1, 2})
+    ->Args({0, 128, 4, 1})
+    ->Args({0, 128, 4, 2})
+    ->Args({1, 32, 1, 0})
+    ->Args({1, 32, 2, 0})
+    ->Args({1, 32, 4, 0})
+    ->Args({1, 32, 1, 1})
+    ->Args({1, 32, 1, 2})
+    ->Args({1, 32, 4, 1})
+    ->Args({1, 32, 4, 2})
+    ->ArgNames({"objects", "batch", "threads", "probes"})
     ->UseRealTime();
 
 /// What a mostly repeated 32-frame batch pays before the SVMs:

@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/probe_reducer.h"
+#include "nn/probe_reducer.h"
 #include "tensor/ops.h"
 
 namespace dv {
@@ -32,23 +32,39 @@ tensor activation_batch::last_probe_features() const {
   return last.reshaped({last.extent(0), last.numel() / last.extent(0)});
 }
 
-activation_batch extract_activations(const sequential& model,
-                                     const tensor& images) {
+namespace {
+
+activation_batch extract(const sequential& model, const tensor& images,
+                         probe_output probes) {
   if (images.dim() == 3) {
-    return extract_activations(
-        model, images.reshaped({1, images.extent(0), images.extent(1),
-                                images.extent(2)}));
+    return extract(model,
+                   images.reshaped({1, images.extent(0), images.extent(1),
+                                    images.extent(2)}),
+                   probes);
   }
   if (images.dim() != 4) {
     throw std::invalid_argument{
         "extract_activations: expected [N,C,H,W] images"};
   }
-  inference pass = model.infer(images);
+  inference pass = model.infer(images, probes);
   activation_batch out;
   out.logits = std::move(pass.logits);
   out.predictions = argmax_rows(out.logits);
   out.probes = std::move(pass.probes);
+  out.reduced_spatial = probes.spatial();
   return out;
+}
+
+}  // namespace
+
+activation_batch extract_activations(const sequential& model,
+                                     const tensor& images) {
+  return extract(model, images, probe_output::raw());
+}
+
+activation_batch extract_activations(const sequential& model,
+                                     const tensor& images, int spatial) {
+  return extract(model, images, probe_output::reduced(spatial));
 }
 
 }  // namespace dv

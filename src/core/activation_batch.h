@@ -3,9 +3,11 @@
 // activation_batch; the validator bank and the KDE, Mahalanobis and LID
 // detectors then score from it without re-running the model.
 //
-// The probe tensors are the ones sequential::infer returned. A batch
-// served through the activation cache (core/activation_cache.h) holds its
-// probes already reduced at the cache's one resolution instead.
+// The probe tensors are the ones sequential::infer returned: reduced at
+// one resolution inside each inference slice for the validator bank, fit,
+// the activation cache and LID (extract_activations(model, images,
+// spatial)), or raw for the KDE and Mahalanobis detectors, which read the
+// last probe itself.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +27,8 @@ struct activation_batch {
   /// reduced features when reduced_spatial > 0.
   std::vector<tensor> probes;
   /// 0 when `probes` are raw activations. s >= 1 when every probe was
-  /// reduced with reduce_probe(probe, s): a convolutional probe keeps its
+  /// reduced with reduce_probe(probe, s) (row by row, inside each
+  /// inference slice or per cached frame): a convolutional probe keeps its
   /// rank as [N, C, s', s'], a dense one stays [N, d].
   int reduced_spatial{0};
 
@@ -33,7 +36,7 @@ struct activation_batch {
   int probe_count() const { return static_cast<int>(probes.size()); }
 
   /// Reduced features of probe `p` at the given spatial resolution,
-  /// [N, d] (see core/probe_reducer.h). A raw batch reduces here; a batch
+  /// [N, d] (see nn/probe_reducer.h). A raw batch reduces here; a batch
   /// reduced at `spatial` returns a copy of its rows; a batch reduced at
   /// any other resolution throws std::logic_error.
   tensor probe_features(int p, int spatial) const;
@@ -50,5 +53,12 @@ struct activation_batch {
 /// batch_config. Safe to call from several threads on one model.
 activation_batch extract_activations(const sequential& model,
                                      const tensor& images);
+
+/// The same pass with every probe reduced at `spatial` (>= 1) inside its
+/// inference slice: reduced_spatial == spatial, and each probe row equals
+/// reduce_probe of the raw row bit for bit. This is what the validator
+/// bank reads; no raw probe of the whole batch is allocated.
+activation_batch extract_activations(const sequential& model,
+                                     const tensor& images, int spatial);
 
 }  // namespace dv

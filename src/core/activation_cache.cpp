@@ -1,13 +1,11 @@
 #include "core/activation_cache.h"
 
-#include <algorithm>
 #include <cstring>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
 #include "core/deep_validator.h"
-#include "core/probe_reducer.h"
 
 namespace dv {
 
@@ -30,18 +28,6 @@ std::vector<std::int64_t> batched_shape(const tensor& frame_slice,
   return shape;
 }
 
-/// reduce_probe that keeps a convolutional probe's rank, [N, C, s', s'],
-/// so a reduced batch still tells dense probes from convolutional ones.
-tensor reduce_keeping_rank(const tensor& probe, int spatial) {
-  tensor out = reduce_probe(probe, spatial);
-  if (probe.dim() == 4) {
-    const std::int64_t s = std::min<std::int64_t>(
-        spatial, std::min(probe.extent(2), probe.extent(3)));
-    out.reshape({probe.extent(0), probe.extent(1), s, s});
-  }
-  return out;
-}
-
 }  // namespace
 
 activation_cache::activation_cache()
@@ -57,8 +43,9 @@ activation_cache::activation_cache(std::size_t capacity, int spatial)
 activation_batch extract_activations_cached(const sequential& model,
                                             const tensor& images,
                                             activation_cache* cache) {
-  if (cache == nullptr || !cache_enabled() || cache->lru().capacity() == 0) {
-    return extract_activations(model, images);
+  if (cache == nullptr) return extract_activations(model, images);
+  if (!cache_enabled() || cache->lru().capacity() == 0) {
+    return extract_activations(model, images, cache->spatial());
   }
   if (images.dim() == 3) {
     return extract_activations_cached(
@@ -104,9 +91,10 @@ activation_batch extract_activations_cached(const sequential& model,
     miss_index[static_cast<std::size_t>(i)] = it->second;
   }
 
-  // One forward pass over just the distinct missed rows, reduced at the
-  // cache's resolution. The reducer works row by row, so a row reduced
-  // here has the bits it would have inside the full batch.
+  // One forward pass over just the distinct missed rows, its probes
+  // reduced at the cache's resolution inside each inference slice. The
+  // reducer works row by row, so a row reduced here has the bits it would
+  // have inside the full batch.
   activation_batch fresh;
   if (!miss_rows.empty()) {
     std::vector<std::int64_t> shape = images.shape();
@@ -118,10 +106,7 @@ activation_batch extract_activations_cached(const sequential& model,
                   images.data() + miss_rows[m] * frame_elems,
                   static_cast<std::size_t>(frame_elems) * sizeof(float));
     }
-    fresh = extract_activations(model, miss_images);
-    for (tensor& p : fresh.probes) {
-      p = reduce_keeping_rank(p, cache->spatial());
-    }
+    fresh = extract_activations(model, miss_images, cache->spatial());
   }
 
   // Allocate the output from whichever side knows the shapes.

@@ -58,11 +58,12 @@ class activation_cache {
 };
 
 /// extract_activations with a frame cache: hashes every row of `images`,
-/// runs the forward pass and the probe reducer only over the rows the
-/// cache does not hold, and splices cached rows into the result, whose
-/// probes are reduced at cache->spatial() (activation_batch::
-/// reduced_spatial). With `cache == nullptr` or caching disabled it is
-/// exactly extract_activations, raw probes included.
+/// runs the forward pass (its probes reduced inside each inference slice)
+/// only over the rows the cache does not hold, and splices cached rows
+/// into the result, whose probes are reduced at cache->spatial()
+/// (activation_batch::reduced_spatial). With caching disabled it is
+/// extract_activations(model, images, cache->spatial()); with
+/// `cache == nullptr` it is extract_activations, raw probes included.
 activation_batch extract_activations_cached(const sequential& model,
                                             const tensor& images,
                                             activation_cache* cache);

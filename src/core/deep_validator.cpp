@@ -49,11 +49,12 @@ void deep_validator::fit(const sequential& model, const dataset& train,
   probe_indices_.clear();
   for (int p = first_probe; p < total_probes; ++p) probe_indices_.push_back(p);
 
-  // Algorithm 1 in one pass: each training image is forwarded once, and
-  // its prediction decides whether it is kept (line 2: only correctly
-  // classified images) while its reduced features wait for the SVMs.
-  // Rows are independent (DESIGN.md §8), so a kept row's features equal a
-  // second pass over the kept images alone, bit for bit.
+  // Algorithm 1 in one pass: each training image is forwarded once (its
+  // probes reduced inside the forward pass), and its prediction decides
+  // whether it is kept (line 2: only correctly classified images) while
+  // its reduced features wait for the SVMs. Rows are independent
+  // (DESIGN.md §8), so a kept row's features equal a second pass over the
+  // kept images alone, bit for bit.
   const std::int64_t total = train.size();
   std::vector<tensor> all_features(probe_indices_.size());
   std::vector<std::int64_t> cursors(probe_indices_.size(), 0);
@@ -61,8 +62,8 @@ void deep_validator::fit(const sequential& model, const dataset& train,
   for (std::int64_t begin = 0; begin < total; begin += batch_.max_batch) {
     const std::int64_t end =
         std::min<std::int64_t>(total, begin + batch_.max_batch);
-    const activation_batch acts =
-        extract_activations(model, train.images.slice_rows(begin, end));
+    const activation_batch acts = extract_activations(
+        model, train.images.slice_rows(begin, end), spatial_);
     for (std::int64_t i = begin; i < end; ++i) {
       if (acts.predictions[static_cast<std::size_t>(i - begin)] ==
           train.labels[static_cast<std::size_t>(i)]) {

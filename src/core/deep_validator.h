@@ -60,7 +60,8 @@ class deep_validator {
 
   /// Algorithm 2 over a batch of images: chunks by the configured batch
   /// size, extracting activations once per chunk. A frame holding a NaN
-  /// or an infinity gets a joint of +inf (validator_bank_view::evaluate).
+  /// or an infinity gets a joint of +inf; a malformed tensor throws
+  /// std::invalid_argument (validator_bank_view::evaluate).
   scores evaluate(const sequential& model, const tensor& images) const;
 
   /// Joint discrepancy of a single [C,H,W] image; +inf when the image

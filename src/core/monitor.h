@@ -78,9 +78,11 @@ class runtime_monitor {
   /// its verdict carries `nonfinite`.
   monitor_verdict observe(const tensor& frame);
 
-  /// Feeds a [N,C,H,W] batch of consecutive stream frames with shared
-  /// activation extraction; verdicts are applied in row order and are
-  /// bitwise identical to calling observe() per frame.
+  /// Feeds a [N,C,H,W] batch of consecutive stream frames (or one [C,H,W]
+  /// frame) with shared activation extraction; verdicts are applied in row
+  /// order and are bitwise identical to calling observe() per frame. A
+  /// malformed tensor throws std::invalid_argument before any verdict is
+  /// folded (validator_bank_view::evaluate).
   std::vector<monitor_verdict> observe_batch(const tensor& frames);
 
   bool alarmed() const { return alarmed_; }

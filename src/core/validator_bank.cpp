@@ -154,6 +154,17 @@ validation_scores validator_bank_view::evaluate(
 validation_scores validator_bank_view::evaluate(const sequential& model,
                                                 const tensor& images) const {
   if (!valid()) throw std::logic_error{"deep_validator: not fitted"};
+  if (images.empty() || (images.dim() != 3 && images.dim() != 4)) {
+    throw std::invalid_argument{
+        "validator_bank_view::evaluate: expected [N,C,H,W] images or one "
+        "[C,H,W] frame, got " +
+        images.shape_string()};
+  }
+  if (images.dim() == 3) {
+    return evaluate(model, images.reshaped({1, images.extent(0),
+                                            images.extent(1),
+                                            images.extent(2)}));
+  }
   trace_span eval_span{"validator.evaluate"};
   const std::int64_t n = images.extent(0);
   validation_scores out;
@@ -165,10 +176,10 @@ validation_scores validator_bank_view::evaluate(const sequential& model,
   for (std::int64_t begin = 0; begin < n; begin += batch_.max_batch) {
     const std::int64_t end = std::min<std::int64_t>(n, begin + batch_.max_batch);
     const activation_batch acts =
-        extract_activations(model, images.slice_rows(begin, end));
+        extract_activations(model, images.slice_rows(begin, end), spatial_);
     score_into(acts, out, begin);
   }
-  const std::int64_t frame_elems = n > 0 ? images.numel() / n : 0;
+  const std::int64_t frame_elems = images.numel() / n;
   for (std::int64_t i = 0; i < n; ++i) {
     if (frame_nonfinite(images.data() + i * frame_elems, frame_elems)) {
       out.joint[static_cast<std::size_t>(i)] =

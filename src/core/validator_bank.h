@@ -125,11 +125,13 @@ class validator_bank_view {
   /// to fail closed (engine_scorer does).
   validation_scores evaluate(const activation_batch& acts) const;
 
-  /// Algorithm 2 over raw images: chunks by the configured batch size,
-  /// extracting activations once per chunk. Fails closed: a frame that
-  /// holds a NaN or an infinity (frame_nonfinite) gets a joint of +inf,
-  /// so flags_invalid holds at any threshold and it ranks as the most
-  /// anomalous frame; its per-layer values are left as scored.
+  /// Algorithm 2 over [N,C,H,W] images or one [C,H,W] frame: chunks by
+  /// the configured batch size, extracting activations reduced at
+  /// spatial() once per chunk. Fails closed: a frame that holds a NaN or
+  /// an infinity (frame_nonfinite) gets a joint of +inf, so flags_invalid
+  /// holds at any threshold and it ranks as the most anomalous frame; its
+  /// per-layer values are left as scored. An empty tensor or any other
+  /// rank throws std::invalid_argument before any row is scored.
   validation_scores evaluate(const sequential& model,
                              const tensor& images) const;
 

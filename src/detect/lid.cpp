@@ -16,7 +16,7 @@ namespace {
 /// Reduced probe features of a batch for every probe layer.
 std::vector<tensor> reduced_probes(const sequential& model,
                                    const tensor& images, int spatial) {
-  const activation_batch acts = extract_activations(model, images);
+  const activation_batch acts = extract_activations(model, images, spatial);
   std::vector<tensor> out;
   out.reserve(acts.probes.size());
   for (int p = 0; p < acts.probe_count(); ++p) {
@@ -100,8 +100,8 @@ std::vector<std::vector<double>> lid_detector::lid_features(
   for (std::int64_t begin = 0; begin < n; begin += config_.batch.max_batch) {
     const std::int64_t end =
         std::min<std::int64_t>(n, begin + config_.batch.max_batch);
-    auto rows = lid_rows(
-        extract_activations(model_, images.slice_rows(begin, end)));
+    auto rows = lid_rows(extract_activations(
+        model_, images.slice_rows(begin, end), config_.spatial));
     for (auto& row : rows) out.push_back(std::move(row));
   }
   return out;

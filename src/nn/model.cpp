@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "nn/probe_reducer.h"
 #include "tensor/ops.h"
 #include "util/flat_snapshot.h"
 #include "util/serialize.h"
@@ -34,7 +35,24 @@ tensor with_rows(const tensor& part, std::int64_t rows) {
   return tensor{std::move(shape)};
 }
 
+/// reduce_probe of a convolutional probe, reshaped to [N, C, s', s'] so a
+/// reduced batch still tells convolutional probes from dense ones.
+tensor reduce_conv_probe(const tensor& probe, int spatial) {
+  tensor out = reduce_probe(probe, spatial);
+  const std::int64_t s = std::min<std::int64_t>(
+      spatial, std::min(probe.extent(2), probe.extent(3)));
+  out.reshape({probe.extent(0), probe.extent(1), s, s});
+  return out;
+}
+
 }  // namespace
+
+probe_output probe_output::reduced(int spatial) {
+  if (spatial < 1) {
+    throw std::invalid_argument{"probe_output::reduced: spatial must be >= 1"};
+  }
+  return probe_output{spatial};
+}
 
 layer& sequential::add(std::unique_ptr<layer> l, bool probe) {
   l->set_probe(probe);
@@ -56,20 +74,27 @@ tensor sequential::backward(const tensor& grad_logits) {
   return g;
 }
 
-inference sequential::infer(const tensor& x, bool with_probes) const {
+inference sequential::infer(const tensor& x, probe_output probes) const {
   if (x.dim() < 1 || x.extent(0) < 1) {
     throw std::invalid_argument{"sequential::infer: empty batch " +
                                 x.shape_string()};
   }
   const auto run_slice = [&](const tensor& rows) {
     inference out;
-    std::vector<tensor>* probes = nullptr;
-    if (with_probes) {
+    std::vector<tensor>* outputs = nullptr;
+    if (probes.wanted()) {
       out.probes.reserve(static_cast<std::size_t>(probe_count()));
-      probes = &out.probes;
+      outputs = &out.probes;
     }
     out.logits = rows;
-    for (const auto& l : layers_) out.logits = l->infer(out.logits, probes);
+    for (const auto& l : layers_) out.logits = l->infer(out.logits, outputs);
+    // reduce_probe works row by row, so a row reduced here has the bits
+    // it would have inside the whole batch. Dense probes pass through.
+    if (probes.spatial() > 0) {
+      for (tensor& p : out.probes) {
+        if (p.dim() != 2) p = reduce_conv_probe(p, probes.spatial());
+      }
+    }
     return out;
   };
   const std::int64_t n = x.extent(0);
@@ -79,7 +104,8 @@ inference sequential::infer(const tensor& x, bool with_probes) const {
   // regroups rows: each slice's rows equal the whole-batch rows bit for
   // bit. The kernels inside a slice run sequentially (nested region). The
   // first slice to finish sizes the outputs; each slice then copies its
-  // rows in and frees its own tensors.
+  // rows (its probes already reduced, when asked) in and frees its own
+  // tensors.
   inference out;
   std::once_flag sized;
   // Const layers write no member; every slice allocates its own tensors
@@ -102,13 +128,13 @@ inference sequential::infer(const tensor& x, bool with_probes) const {
 }
 
 tensor sequential::probabilities(const tensor& x) const {
-  tensor logits = infer(x, false).logits;
+  tensor logits = infer(x, probe_output::none()).logits;
   softmax_rows(logits);
   return logits;
 }
 
 std::vector<std::int64_t> sequential::predict(const tensor& x) const {
-  return argmax_rows(infer(x, false).logits);
+  return argmax_rows(infer(x, probe_output::none()).logits);
 }
 
 int sequential::probe_count() const {

@@ -25,8 +25,31 @@ struct inference {
   /// Raw model outputs [N, num_classes].
   tensor logits;
   /// One [N, ...] tensor per probe point, network order: the hidden
-  /// representations f_i(x). Empty when the caller asked for no probes.
+  /// representations f_i(x), raw or reduced as the caller asked (see
+  /// probe_output). Empty when the caller asked for no probes.
   std::vector<tensor> probes;
+};
+
+/// What a sequential::infer call returns of the probe points: nothing, the
+/// raw activations, or every probe reduced with reduce_probe at one
+/// resolution (nn/probe_reducer.h).
+class probe_output {
+ public:
+  static constexpr probe_output none() { return probe_output{-1}; }
+  static constexpr probe_output raw() { return probe_output{0}; }
+  /// Reduced at `spatial` (>= 1, else std::invalid_argument). A
+  /// convolutional probe keeps its rank as [N, C, s', s']; a dense one
+  /// stays [N, d].
+  static probe_output reduced(int spatial);
+
+  bool wanted() const { return spatial_ >= 0; }
+  /// 0 for raw probes, else the resolution they are reduced at (the
+  /// convention of activation_batch::reduced_spatial).
+  int spatial() const { return spatial_; }
+
+ private:
+  explicit constexpr probe_output(int spatial) : spatial_{spatial} {}
+  int spatial_;
 };
 
 class sequential {
@@ -49,13 +72,16 @@ class sequential {
   /// Backward pass from logits gradient; returns gradient w.r.t. the input.
   tensor backward(const tensor& grad_logits);
 
-  /// Reentrant inference pass over [N, ...] inputs: the logits and, when
-  /// `with_probes`, every probe output. Runs each infer_slice_rows-row
-  /// slice through the whole network inside one parallel region (a batch
-  /// of one slice keeps kernel-level parallelism instead). Every row is
-  /// bitwise equal to forward(x, false) for any slicing, DV_THREADS and
-  /// DV_SIMD, and any number of threads may call it on one model at once.
-  inference infer(const tensor& x, bool with_probes = true) const;
+  /// Reentrant inference pass over [N, ...] inputs: the logits and the
+  /// probe outputs `probes` asks for. Runs each infer_slice_rows-row slice
+  /// through the whole network inside one parallel region (a batch of one
+  /// slice keeps kernel-level parallelism instead); reduced probes are
+  /// reduced inside the slice, so no raw probe of the whole batch is
+  /// allocated. Every row is bitwise equal to forward(x, false) (and its
+  /// reduce_probe row) for any slicing, DV_THREADS and DV_SIMD, and any
+  /// number of threads may call it on one model at once.
+  inference infer(const tensor& x,
+                  probe_output probes = probe_output::raw()) const;
 
   /// Softmax probabilities [N, num_classes].
   tensor probabilities(const tensor& x) const;

@@ -60,7 +60,9 @@ std::vector<scoring_result> engine_scorer::score(const tensor& frames) {
         frame_cache_->lru().capacity(), bank.spatial());
   }
   const activation_batch acts =
-      extract_activations_cached(model_, frames, frame_cache_.get());
+      frame_cache_ != nullptr
+          ? extract_activations_cached(model_, frames, frame_cache_.get())
+          : extract_activations(model_, frames, bank.spatial());
   const auto s = bank.evaluate(acts);
 
   const bool has_weighted = bank.weighted().valid();

@@ -96,9 +96,10 @@ class batch_scorer {
 /// its bank() once (generation 1). The bank is loaded ONCE per batch —
 /// every frame of a batch scores against one generation, and a publish
 /// between batches never drains the queue. Weighted scores come from the
-/// bank's combiner when it carries one (bank.weighted()). The activation
-/// cache holds probes reduced at the published bank's resolution; a
-/// publish that changes it starts a new, cold cache. When caching is on,
+/// bank's combiner when it carries one (bank.weighted()). Probes are
+/// reduced at the published bank's resolution inside the forward pass,
+/// and the activation cache holds them at that resolution; a publish
+/// that changes it starts a new, cold cache. When caching is on,
 /// a handle must not be shared by two concurrently scoring services
 /// (docs/SNAPSHOTS.md): the bank's decision caches assume the serialized
 /// scoring stream one micro_batcher provides.

@@ -183,11 +183,11 @@ void gemm_small(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   });
 }
 
-/// gemm_nt with fewer rows than one micro-kernel strip (dense::infer at
-/// batch 1-3): the row kernel reads B's rows where they lie and runs each
-/// element's tiled chain, so no B panel is packed and no zero-padded A
-/// row is multiplied. Serial: at these sizes a pool region costs more
-/// than it saves.
+/// gemm_nt with at most one micro-kernel strip of rows (dense::infer at
+/// batch 1-4, and in every 4-row slice of a batched forward): the row
+/// kernel reads B's rows where they lie and runs each element's tiled
+/// chain, so no B panel is packed and no zero-padded A row is multiplied.
+/// Serial: at these sizes a pool region costs more than it saves.
 void gemm_rows(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                const float* a, const float* b, float beta, float* c) {
   scale_c(m, n, beta, c);
@@ -203,7 +203,7 @@ void gemm_dispatch(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   // row the tiled path's bits (DESIGN.md §8).
   if (2 * n * k < TILED_MIN_ROW_FLOPS) {
     gemm_small(m, n, k, alpha, a, a_trans, b, b_trans, beta, c);
-  } else if (b_trans && !a_trans && m < MR) {
+  } else if (b_trans && !a_trans && m <= MR) {
     gemm_rows(m, n, k, alpha, a, b, beta, c);
   } else {
     gemm_tiled(m, n, k, alpha, a, a_trans, b, b_trans, beta, c);

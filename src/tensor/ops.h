@@ -27,7 +27,7 @@ void gemm_nn(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
              const float* a, const float* b, float beta, float* c);
 
 /// C[M,N] = alpha * A[M,K] * B[N,K]^T + beta * C (B stored row-major [N,K]).
-/// Fewer than simd_gemm_mr rows run the SIMD row kernel, which reads B in
+/// At most simd_gemm_mr rows run the SIMD row kernel, which reads B in
 /// place and gives each row the bits the tiled GEMM gives it.
 void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
              const float* a, const float* b, float beta, float* c);

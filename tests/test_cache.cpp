@@ -16,7 +16,7 @@
 #include "core/activation_cache.h"
 #include "core/deep_validator.h"
 #include "core/monitor.h"
-#include "core/probe_reducer.h"
+#include "nn/probe_reducer.h"
 #include "eval/metrics.h"
 #include "nn/layers.h"
 #include "serve/scoring.h"

@@ -5,7 +5,7 @@
 
 #include "core/deep_validator.h"
 #include "core/feature_scaler.h"
-#include "core/probe_reducer.h"
+#include "nn/probe_reducer.h"
 #include "test_util.h"
 #include "util/flat_snapshot.h"
 #include "util/serialize.h"

@@ -5,12 +5,15 @@
 // micro_batcher, and every verdict must match exactly one published
 // generation's threshold — monitor_service verdicts, which follow the
 // published bank's threshold and generation rather than the monitor's
-// own, a publish that changes the reducer resolution, and frames holding
-// NaN or infinite pixels, which fail closed on every serving surface. Run
+// own, a publish that changes the reducer resolution, frames holding NaN
+// or infinite pixels, which fail closed on every serving surface, and
+// malformed tensors on the direct scoring calls: a [C,H,W] frame scores as
+// one frame and an empty tensor or any other rank throws. Run
 // under scripts/run_static_analysis.sh's tsan stage to validate the
 // lock-free publish path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -529,6 +532,72 @@ TEST(NonfiniteFrames, FailClosedOnEveryDirectScoringCall) {
       }
     }
   }
+}
+
+/// shared_tiny_world()'s trained model behind a 1x1 convolution that
+/// passes channel 0 of a [3, 28, 28] frame through exactly (weights 1, 0,
+/// 0 and no bias: x + 0 + 0 == x). Its logits and probes on such a frame
+/// are the trained model's on the digit in channel 0, bit for bit, so
+/// fitted_validator() scores it; unlike a digit, its frame has more
+/// channels than one.
+std::unique_ptr<sequential> channel0_model() {
+  rng gen{5};
+  auto model = std::make_unique<sequential>();
+  model->add(std::make_unique<conv2d>(3, 1, 1, 1, 0, gen, /*bias=*/false));
+  dv::testing::add_tiny_layers(*model, gen);
+  const std::vector<param_ref> dst = model->params();
+  const std::vector<param_ref> src = shared_tiny_world().model->params();
+  dst.front().value->fill(0.0f);
+  dst.front().value->data()[0] = 1.0f;
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    *dst[i + 1].value = *src[i].value;
+  }
+  return model;
+}
+
+TEST(MalformedFrames, FailClosedOnEveryDirectScoringCall) {
+  const auto& world = shared_tiny_world();
+  const deep_validator& dv = fitted_validator();
+  const std::unique_ptr<sequential> model = channel0_model();
+  rng gen{9};
+  tensor frame = tensor::uniform({3, 28, 28}, gen, 0.0f, 1.0f);
+  const tensor digit = world.test.images.slice_rows(0, 1);
+  std::copy_n(digit.data(), digit.numel(), frame.data());
+  const validation_scores expected = dv.evaluate(*world.model, digit);
+  ASSERT_EQ(expected.joint.size(), 1U);
+
+  // A [C,H,W] frame is one frame, not C rows.
+  const validation_scores scored[] = {dv.bank().evaluate(*model, frame),
+                                      dv.evaluate(*model, frame)};
+  for (const validation_scores& got : scored) {
+    ASSERT_EQ(got.joint.size(), 1U);
+    EXPECT_TRUE(same_bits(got.joint[0], expected.joint[0]));
+    EXPECT_EQ(got.predictions[0], expected.predictions[0]);
+    for (std::size_t l = 0; l < expected.per_layer.size(); ++l) {
+      EXPECT_TRUE(same_bits(got.per_layer[l][0], expected.per_layer[l][0]));
+    }
+  }
+  runtime_monitor monitor{*model, dv};
+  const std::vector<monitor_verdict> verdicts = monitor.observe_batch(frame);
+  ASSERT_EQ(verdicts.size(), 1U);
+  EXPECT_TRUE(same_bits(verdicts[0].discrepancy, expected.joint[0]));
+  EXPECT_EQ(verdicts[0].frame_invalid, dv.flags_invalid(expected.joint[0]));
+  EXPECT_EQ(monitor.frames_seen(), 1);
+
+  // An empty tensor or any other rank throws before a row is scored, and
+  // the monitor folds nothing.
+  const tensor malformed[] = {
+      tensor{}, tensor::uniform({3 * 28 * 28}, gen, 0.0f, 1.0f),
+      tensor::uniform({2, 3 * 28 * 28}, gen, 0.0f, 1.0f),
+      tensor::uniform({1, 1, 3, 28, 28}, gen, 0.0f, 1.0f)};
+  for (const tensor& bad : malformed) {
+    SCOPED_TRACE(bad.shape_string());
+    EXPECT_THROW((void)dv.bank().evaluate(*model, bad), std::invalid_argument);
+    EXPECT_THROW((void)dv.evaluate(*model, bad), std::invalid_argument);
+    EXPECT_THROW((void)monitor.observe_batch(bad), std::invalid_argument);
+    EXPECT_THROW((void)monitor.observe(bad), std::invalid_argument);
+  }
+  EXPECT_EQ(monitor.frames_seen(), 1);
 }
 
 }  // namespace

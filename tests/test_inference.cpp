@@ -2,10 +2,12 @@
 // sequential::infer, extract_activations): for every layer kind and the
 // three model factories, the const path's logits and probes equal the
 // stateful forward(x, false) bit for bit at every slice-relative batch
-// size, DV_THREADS setting and supported DV_SIMD level; concurrent callers
-// on one shared const model get the serial result; deep_validator::fit's
-// one-pass Algorithm 1 builds the same bank as a predict-filter-then-
-// extract reference; and every layer kind shows up in the trace.
+// size, DV_THREADS setting and supported DV_SIMD level; probes reduced
+// inside the slices equal reduce_probe of the raw probes; concurrent
+// callers on one shared const model get the serial result;
+// deep_validator::fit's one-pass Algorithm 1 builds the same bank as a
+// predict-filter-then-extract reference; and every layer kind shows up in
+// the trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "core/deep_validator.h"
 #include "nn/dense_block.h"
 #include "nn/layers.h"
+#include "nn/probe_reducer.h"
 #include "pipeline/models.h"
 #include "tensor/ops.h"
 #include "tensor/simd/simd.h"
@@ -393,10 +396,65 @@ TEST(InferenceIdentity, ModelFactoriesMatchStatefulForward) {
       }
       reset_simd_level();
       set_thread_count(0);
-      const inference logits_only = model->infer(x, /*with_probes=*/false);
+      const inference logits_only = model->infer(x, probe_output::none());
       EXPECT_TRUE(bitwise_equal(logits_only.logits, forward_logits));
       EXPECT_TRUE(logits_only.probes.empty());
       EXPECT_EQ(model->predict(x), argmax_rows(forward_logits));
+    }
+  }
+}
+
+TEST(InferenceIdentity, ReducedProbesMatchReduceProbeOfTheRawPass) {
+  pool_state_guard guard;
+  for (const auto kind :
+       {dataset_kind::digits, dataset_kind::street, dataset_kind::objects}) {
+    auto model = make_model(kind, 7);
+    const std::vector<std::int64_t> sample =
+        kind == dataset_kind::digits ? std::vector<std::int64_t>{1, 28, 28}
+                                     : std::vector<std::int64_t>{3, 32, 32};
+    for (const std::int64_t n : {1, 3, 4, 5, 33, 128}) {
+      std::vector<std::int64_t> shape{n};
+      shape.insert(shape.end(), sample.begin(), sample.end());
+      rng gen{static_cast<std::uint64_t>(300 + n)};
+      const tensor x = tensor::uniform(shape, gen, 0.0f, 1.0f);
+      // Raw probes are the same at every setting (test above).
+      const activation_batch raw = extract_activations(*model, x);
+      for (const auto level :
+           {simd_level::scalar, simd_level::sse2, simd_level::avx2}) {
+        if (!simd_level_supported(level)) continue;
+        for (const int threads : {1, 4}) {
+          set_simd_level(level);
+          set_thread_count(threads);
+          for (const int s : {1, 2}) {
+            const std::string where =
+                std::string{model_name(kind)} + " n=" + std::to_string(n) +
+                " s=" + std::to_string(s) + " " +
+                setting_name({level, threads});
+            const activation_batch got = extract_activations(*model, x, s);
+            EXPECT_EQ(got.reduced_spatial, s) << where;
+            EXPECT_TRUE(bitwise_equal(got.logits, raw.logits)) << where;
+            EXPECT_EQ(got.predictions, raw.predictions) << where;
+            ASSERT_EQ(got.probes.size(), raw.probes.size()) << where;
+            for (int p = 0; p < raw.probe_count(); ++p) {
+              const tensor& from = raw.probes[static_cast<std::size_t>(p)];
+              const tensor& kept = got.probes[static_cast<std::size_t>(p)];
+              // A convolutional probe keeps its rank, [N, C, s', s'].
+              std::vector<std::int64_t> want_shape = from.shape();
+              if (from.dim() == 4) {
+                const std::int64_t side = std::min<std::int64_t>(
+                    s, std::min(from.extent(2), from.extent(3)));
+                want_shape = {n, from.extent(1), side, side};
+              }
+              EXPECT_EQ(kept.shape(), want_shape) << where << " probe " << p;
+              EXPECT_TRUE(bitwise_equal(got.probe_features(p, s),
+                                        reduce_probe(from, s)))
+                  << where << " probe " << p;
+            }
+          }
+        }
+      }
+      reset_simd_level();
+      set_thread_count(0);
     }
   }
 }

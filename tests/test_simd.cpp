@@ -514,9 +514,9 @@ TEST(SimdIdentity, GemmNtRowKernelMatchesGenericAtEveryLevel) {
 TEST(SimdIdentity, GemmNtFewRowsMatchTheSameRowsOfTheTiledPath) {
   simd_state_guard guard;
   rng gen{83};
-  // Rows computed at m = 1, 2 and 3 (the row kernel) must equal the same
-  // rows computed inside a 7-row call (the packed, tiled path), for every
-  // beta the dense and conv2d callers use.
+  // Rows computed at m = 1 to 4 (the row kernel) must equal the same rows
+  // computed inside a 7-row call (the packed, tiled path), for every beta
+  // the dense and conv2d callers use.
   constexpr std::int64_t big_m = 7;
   for (const std::int64_t k : {2048, 300}) {
     for (const std::int64_t n : {97, 13}) {
@@ -530,7 +530,7 @@ TEST(SimdIdentity, GemmNtFewRowsMatchTheSameRowsOfTheTiledPath) {
             tensor whole = c0;
             gemm_nt(big_m, n, k, alpha, a.data(), b.data(), beta,
                     whole.data());
-            for (const std::int64_t m : {1, 2, 3}) {
+            for (const std::int64_t m : {1, 2, 3, 4}) {
               for (std::int64_t r = 0; r + m <= big_m; r += m) {
                 tensor part = c0.slice_rows(r, r + m);
                 if (beta == 0.0f) part.fill(k_nan);  // must not be read

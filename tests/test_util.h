@@ -20,20 +20,26 @@ struct tiny_world {
   double test_accuracy{0.0};
 };
 
+/// Appends the tiny CNN's layers to `model`:
+/// conv4-pool-conv8-pool-fc32-logits with three probes.
+inline void add_tiny_layers(sequential& model, rng& gen) {
+  model.add(std::make_unique<conv2d>(1, 4, 3, 1, 1, gen));
+  model.add(std::make_unique<relu>());
+  model.add(std::make_unique<max_pool2d>(2), /*probe=*/true);
+  model.add(std::make_unique<conv2d>(4, 8, 3, 1, 1, gen));
+  model.add(std::make_unique<relu>());
+  model.add(std::make_unique<max_pool2d>(2), /*probe=*/true);
+  model.add(std::make_unique<flatten>());
+  model.add(std::make_unique<dense>(8 * 7 * 7, 32, gen));
+  model.add(std::make_unique<relu>(), /*probe=*/true);
+  model.add(std::make_unique<dense>(32, 10, gen));
+}
+
 /// A small CNN: conv4-pool-conv8-pool-fc32-logits with three probes.
 inline std::unique_ptr<sequential> make_tiny_model(std::uint64_t seed) {
   rng gen{seed};
   auto model = std::make_unique<sequential>();
-  model->add(std::make_unique<conv2d>(1, 4, 3, 1, 1, gen));
-  model->add(std::make_unique<relu>());
-  model->add(std::make_unique<max_pool2d>(2), /*probe=*/true);
-  model->add(std::make_unique<conv2d>(4, 8, 3, 1, 1, gen));
-  model->add(std::make_unique<relu>());
-  model->add(std::make_unique<max_pool2d>(2), /*probe=*/true);
-  model->add(std::make_unique<flatten>());
-  model->add(std::make_unique<dense>(8 * 7 * 7, 32, gen));
-  model->add(std::make_unique<relu>(), /*probe=*/true);
-  model->add(std::make_unique<dense>(32, 10, gen));
+  add_tiny_layers(*model, gen);
   return model;
 }
 
