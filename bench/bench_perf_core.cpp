@@ -420,12 +420,10 @@ BENCHMARK(bm_kernel_matrix_threads)
     ->ArgName("threads")
     ->UseRealTime();
 
-/// One-class SVM scoring of the same 256 rows per iteration. Uncached it
-/// measures the RBF decision kernel; cached, every iteration after the
-/// first is served from the decision cache.
-void svm_decision_batch(benchmark::State& state, bool cached) {
+/// One-class SVM scoring of 256 rows per iteration: the RBF decision
+/// kernel.
+void bm_svm_decision_batch_threads(benchmark::State& state) {
   thread_arg threads{state.range(0)};
-  cache_arg cache{cached};
   rng gen{8};
   tensor samples = tensor::randn({300, 16}, gen);
   one_class_svm svm;
@@ -437,22 +435,7 @@ void svm_decision_batch(benchmark::State& state, bool cached) {
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
-
-void bm_svm_decision_batch_threads(benchmark::State& state) {
-  svm_decision_batch(state, /*cached=*/false);
-}
 BENCHMARK(bm_svm_decision_batch_threads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->ArgName("threads")
-    ->UseRealTime();
-
-void bm_svm_decision_batch_cached_threads(benchmark::State& state) {
-  svm_decision_batch(state, /*cached=*/true);
-}
-BENCHMARK(bm_svm_decision_batch_cached_threads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

@@ -40,8 +40,7 @@ class layer_validator_view {
   /// Discrepancies for all rows of `features` [n, d] with per-row
   /// predicted classes — bit-identical to calling discrepancy() per row.
   /// Rows are grouped by predicted class and scored through
-  /// one_class_svm_view::decision_batch; see that method for the
-  /// parallelism and caching contract.
+  /// one_class_svm_view::decision_batch, which parallelizes over rows.
   std::vector<double> discrepancy_batch(
       const std::vector<std::int64_t>& predicted_classes,
       const tensor& features) const;
@@ -72,18 +71,14 @@ class layer_validator {
 
   /// Discrepancies for all rows of `features` [n, d] with per-row
   /// predicted classes — bit-identical to calling discrepancy() per row.
-  /// Rows are grouped by predicted class and scored through
-  /// one_class_svm::decision_batch, which parallelizes internally and
-  /// serves repeated rows from the decision cache when caching is on
-  /// (docs/CACHING.md). Like decision_batch, concurrent calls on the
-  /// SAME instance are forbidden while caching is enabled.
+  /// Delegates to layer_validator_view::discrepancy_batch; concurrent
+  /// calls on one fitted validator are allowed.
   std::vector<double> discrepancy_batch(
       const std::vector<std::int64_t>& predicted_classes,
       const tensor& features) const;
 
-  /// Read-only view over the owned storage, with each SVM view bound to
-  /// that SVM's decision cache. Valid while this object is alive and
-  /// unmodified; requires a fitted validator.
+  /// Read-only view over the owned storage. Valid while this object is
+  /// alive and unmodified; requires a fitted validator.
   layer_validator_view view() const;
 
   bool fitted() const { return !svms_.empty(); }

@@ -209,13 +209,11 @@ void validator_bank_view::score_into(const activation_batch& acts,
   }
   // Score one layer at a time through discrepancy_batch: the rows group
   // by predicted class into one decision_batch per (layer, class) SVM,
-  // which parallelizes over rows internally and serves repeated probe
-  // activations from the decision cache when caching is on
-  // (docs/CACHING.md). Per-image math is unchanged — each row's value is
-  // the same discrepancy() computation, and the joint sum below folds
-  // the layers in the same ascending order as before — so scores are
-  // bit-identical to the per-image path for any DV_THREADS and cache
-  // setting. dv_validator_score_seconds observes one batched layer
+  // which parallelizes over rows internally. Per-image math is unchanged
+  // — each row's value is the same discrepancy() computation, and the
+  // joint sum below folds the layers in the same ascending order as
+  // before — so scores are bit-identical to the per-image path for any
+  // DV_THREADS. dv_validator_score_seconds observes one batched layer
   // evaluation per sample (docs/OBSERVABILITY.md).
   for (std::size_t v = 0; v < layers_.size(); ++v) {
     const std::int64_t layer_start_ns =

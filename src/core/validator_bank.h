@@ -8,10 +8,11 @@
 // deep_validator::bank()) or zero-copy out of a loaded flat snapshot
 // (util/flat_snapshot.h). Both construction paths run the SAME scoring
 // code, so a snapshot-backed bank is bitwise identical to the fitted
-// in-memory bank for any DV_THREADS / DV_SIMD / DV_CACHE setting.
+// in-memory bank for any DV_THREADS / DV_SIMD setting.
 //
-// Banks are immutable after construction and cheap to copy (views +
-// small owned vectors). The serving layer publishes them through
+// Banks are immutable after construction, hold no cache, and are cheap to
+// copy (views + small owned vectors), so any number of threads may score
+// through one bank at once. The serving layer publishes them through
 // serve/engine_handle.h for pause-free hot swap.
 #pragma once
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <stdexcept>
-#include <utility>
 
 #include "tensor/ops.h"
 #include "util/flat_snapshot.h"
@@ -152,8 +150,7 @@ one_class_svm_view one_class_svm::view() const {
                             support_vectors_.extent(0),
                             support_vectors_.extent(1),
                             alpha_.data(),
-                            iterations_,
-                            &decision_cache_};
+                            iterations_};
 }
 
 double one_class_svm::decision(std::span<const float> x) const {
@@ -177,8 +174,7 @@ one_class_svm_view::one_class_svm_view(kernel_kind kernel, double gamma,
                                        const float* support_vectors,
                                        std::int64_t m, std::int64_t d,
                                        const double* alpha,
-                                       std::int64_t iterations,
-                                       strong_lru_cache<double>* cache)
+                                       std::int64_t iterations)
     : kernel_{kernel},
       gamma_{gamma},
       rho_{rho},
@@ -186,8 +182,7 @@ one_class_svm_view::one_class_svm_view(kernel_kind kernel, double gamma,
       alpha_{alpha},
       m_{m},
       d_{d},
-      iterations_{iterations},
-      external_cache_{cache} {
+      iterations_{iterations} {
   if (m_ < 0 || d_ < 0 || (m_ > 0 && (sv_ == nullptr || alpha_ == nullptr))) {
     throw std::invalid_argument{"one_class_svm_view: bad storage"};
   }
@@ -232,71 +227,16 @@ std::vector<double> one_class_svm_view::decision_batch(const tensor& x) const {
   const std::int64_t n = x.extent(0);
   const std::int64_t d = d_;
   std::vector<double> out(static_cast<std::size_t>(n));
-  if (!cache_enabled()) {
-    // One output per row; per-row math is the sequential decision() loop.
-    // decision()'s thread_local scratch resizes to the fixed
-    // support-vector count once per thread, then stays warm.
-    // dv:parallel-safe(disjoint slots) dv-lint: allow(effect:may_allocate)
-    parallel_for(0, n, 8, [&](std::int64_t begin, std::int64_t end) {
-      for (std::int64_t i = begin; i < end; ++i) {
-        out[static_cast<std::size_t>(i)] =
-            decision({x.data() + i * d, static_cast<std::size_t>(d)});
-      }
-    });
-    return out;
-  }
-
-  // Cached path (docs/CACHING.md): probe sequentially in row order,
-  // compute only the distinct missed rows in parallel (identical rows in
-  // one batch cost one evaluation — identical bytes give the identical
-  // decision value), then insert sequentially in first-occurrence order.
-  // All cache mutation happens at single-threaded program points, so
-  // hit/miss totals and eviction order are identical at any DV_THREADS,
-  // and each row's value is the same decision() math either way —
-  // bitwise transparent. Rebuilding when the capacity knob moved keeps
-  // set_cache_capacity() effective for tests/benches.
-  strong_lru_cache<double>* slot = cache();
-  if (slot->capacity() != cache_capacity()) {
-    *slot = strong_lru_cache<double>{cache_capacity(), "decision"};
-  }
-  std::vector<strong_hash> hashes(static_cast<std::size_t>(n));
-  std::vector<std::int64_t> miss_rows;  // first row per distinct missed hash
-  std::vector<std::int64_t> miss_index(static_cast<std::size_t>(n), -1);
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::int64_t> seen;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto& h = hashes[static_cast<std::size_t>(i)] =
-        strong_hash::of_bytes(x.data() + i * d,
-                              static_cast<std::size_t>(d) * sizeof(float));
-    if (const double* hit = slot->find(h)) {
-      out[static_cast<std::size_t>(i)] = *hit;
-      continue;
-    }
-    const auto [it, inserted] = seen.emplace(
-        std::make_pair(h.hi, h.lo),
-        static_cast<std::int64_t>(miss_rows.size()));
-    if (inserted) miss_rows.push_back(i);
-    miss_index[static_cast<std::size_t>(i)] = it->second;
-  }
-  std::vector<double> fresh(miss_rows.size());
+  // One output per row; per-row math is the sequential decision() loop.
   // decision()'s thread_local scratch resizes to the fixed support-vector
   // count once per thread, then stays warm.
   // dv:parallel-safe(disjoint slots) dv-lint: allow(effect:may_allocate)
-  parallel_for(0, static_cast<std::int64_t>(miss_rows.size()), 8,
-               [&](std::int64_t begin, std::int64_t end) {
-                 for (std::int64_t m = begin; m < end; ++m) {
-                   const std::int64_t i =
-                       miss_rows[static_cast<std::size_t>(m)];
-                   fresh[static_cast<std::size_t>(m)] =
-                       decision({x.data() + i * d, static_cast<std::size_t>(d)});
-                 }
-               });
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int64_t m = miss_index[static_cast<std::size_t>(i)];
-    if (m >= 0) out[static_cast<std::size_t>(i)] = fresh[static_cast<std::size_t>(m)];
-  }
-  for (std::size_t m = 0; m < miss_rows.size(); ++m) {
-    slot->insert(hashes[static_cast<std::size_t>(miss_rows[m])], fresh[m]);
-  }
+  parallel_for(0, n, 8, [&](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t i = begin; i < end; ++i) {
+      out[static_cast<std::size_t>(i)] =
+          decision({x.data() + i * d, static_cast<std::size_t>(d)});
+    }
+  });
   return out;
 }
 
@@ -363,9 +303,8 @@ svm_sections read_svm_sections(const snapshot_view& snap,
 one_class_svm_view one_class_svm_view::from_snapshot(
     const snapshot_view& snap, const std::string& prefix) {
   const svm_sections s = read_svm_sections(snap, prefix);
-  return one_class_svm_view{s.kernel,      s.gamma, s.rho, s.sv.data(), s.m,
-                            s.d,           s.alpha.data(), s.iterations,
-                            nullptr};
+  return one_class_svm_view{s.kernel, s.gamma, s.rho,          s.sv.data(),
+                            s.m,      s.d,     s.alpha.data(), s.iterations};
 }
 
 one_class_svm one_class_svm::load_snapshot(const snapshot_view& snap,

@@ -9,7 +9,7 @@
 // negative outside; Deep Validation defines the layer discrepancy as -t(x).
 //
 // The class splits builder from view (DESIGN.md §16): `one_class_svm` owns
-// mutable training state and the fit path; `one_class_svm_view` is the
+// the training state and the fit path; `one_class_svm_view` is the
 // read-only scoring surface over borrowed support-vector memory — either
 // the builder's own heap tensors or a loaded snapshot section
 // (util/flat_snapshot.h). Both paths run the SAME scoring code, so a
@@ -23,7 +23,6 @@
 
 #include "svm/kernel.h"
 #include "tensor/tensor.h"
-#include "util/strong_lru.h"
 
 namespace dv {
 
@@ -53,14 +52,10 @@ class one_class_svm_view {
   one_class_svm_view() = default;
 
   /// Borrows `support_vectors` (row-major [m, d]) and `alpha` (m values).
-  /// `cache` binds an external decision cache (the builder passes its own
-  /// member so cache state survives across the builder's temp views);
-  /// nullptr means the view lazily uses an internal cache.
   one_class_svm_view(kernel_kind kernel, double gamma, double rho,
                      const float* support_vectors, std::int64_t m,
                      std::int64_t d, const double* alpha,
-                     std::int64_t iterations,
-                     strong_lru_cache<double>* cache = nullptr);
+                     std::int64_t iterations);
 
   /// Reads the sections written by one_class_svm::save_snapshot under
   /// `prefix`; spans stay inside the snapshot (zero copy). Throws
@@ -73,12 +68,8 @@ class one_class_svm_view {
 
   /// Batch decision values for the rows of `x` [n, d], computed in
   /// parallel (one row per output; bit-identical to calling decision()
-  /// per row for any thread count). When caching is on (DV_CACHE,
-  /// docs/CACHING.md) repeated rows are served from a strong-hash LRU
-  /// keyed on the row bytes — bitwise transparent, but concurrent
-  /// decision_batch calls through the SAME cache are then forbidden
-  /// (the serving layer serializes scoring per bank; see
-  /// docs/SNAPSHOTS.md on sharing one engine_handle across services).
+  /// per row for any thread count). Reads nothing but the view, so
+  /// concurrent calls are safe.
   std::vector<double> decision_batch(const tensor& x) const;
 
   bool valid() const { return m_ > 0; }
@@ -96,10 +87,6 @@ class one_class_svm_view {
   }
 
  private:
-  strong_lru_cache<double>* cache() const {
-    return external_cache_ != nullptr ? external_cache_ : &own_cache_;
-  }
-
   kernel_kind kernel_{kernel_kind::rbf};
   double gamma_{0.0};
   double rho_{0.0};
@@ -108,11 +95,6 @@ class one_class_svm_view {
   std::int64_t m_{0};
   std::int64_t d_{0};
   std::int64_t iterations_{0};
-  /// Decision cache for snapshot-backed views without an external bind.
-  /// Mutable: caching is an implementation detail of a logically-const
-  /// query (see the decision_batch contract above for serialization).
-  mutable strong_lru_cache<double> own_cache_;
-  strong_lru_cache<double>* external_cache_{nullptr};
 };
 
 class one_class_svm {
@@ -125,21 +107,13 @@ class one_class_svm {
   /// Signed decision value t(x); requires a fitted model.
   double decision(std::span<const float> x) const;
 
-  /// Batch decision values for the rows of `x` [n, d]; see
-  /// one_class_svm_view::decision_batch for the parallelism and caching
-  /// contract (this method delegates to a view over the owned storage
-  /// bound to this instance's decision cache).
+  /// Batch decision values for the rows of `x` [n, d]; delegates to
+  /// one_class_svm_view::decision_batch over the owned storage.
   std::vector<double> decision_batch(const tensor& x) const;
 
-  /// Read-only scoring view over the owned storage, bound to this
-  /// instance's decision cache. Valid while this object is alive and
-  /// unmodified; requires a fitted model.
+  /// Read-only scoring view over the owned storage. Valid while this
+  /// object is alive and unmodified; requires a fitted model.
   one_class_svm_view view() const;
-
-  /// The decision cache (empty until the first cached decision_batch).
-  const strong_lru_cache<double>& decision_cache() const {
-    return decision_cache_;
-  }
 
   bool fitted() const { return fitted_; }
   std::int64_t support_count() const { return support_vectors_.empty() ? 0 : support_vectors_.extent(0); }
@@ -166,11 +140,6 @@ class one_class_svm {
   kernel_kind kernel_{kernel_kind::rbf};
   std::int64_t iterations_{0};
   bool fitted_{false};
-  /// Strong-hash LRU over decision values, lazily sized from
-  /// cache_capacity() inside decision_batch. Mutable: caching is an
-  /// implementation detail of a logically-const query (see the
-  /// decision_batch contract above for the serialization requirement).
-  mutable strong_lru_cache<double> decision_cache_;
 };
 
 }  // namespace dv

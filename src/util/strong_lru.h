@@ -1,25 +1,26 @@
 // Fixed-capacity strong-hash LRU cache for temporally redundant streams
-// (docs/CACHING.md, DESIGN.md §13).
+// (docs/CACHING.md, DESIGN.md §13). It backs the scorer's one frame
+// cache, core/activation_cache.h.
 //
 // The key is a 128-bit FNV-1a-style hash over the raw bytes of the input
-// (an image tensor, a probe-feature row) — wide enough that accidental
-// collisions are out of reach, so the cache never stores the hashed bytes
-// themselves. The index is an open-addressed, linearly probed table over a
-// fixed entry pool threaded onto an intrusive LRU list.
+// (a camera frame) — wide enough that accidental collisions are out of
+// reach, so the cache never stores the hashed bytes themselves. The index
+// is an open-addressed, linearly probed table over a fixed entry pool
+// threaded onto an intrusive LRU list.
 //
 // Determinism contract: every capacity and eviction decision is a pure
 // function of the operation sequence — no timestamps, no thread identity,
 // no allocator addresses. Callers mutate a cache from one logical stream
-// at a time (the scoring thread, the serving worker); under that contract
-// the cache contents after N operations are identical for any DV_THREADS
-// and any DV_SIMD level, which is what makes cached scores bitwise equal
-// to uncached ones (ctest-enforced in tests/test_cache.cpp).
+// at a time (the serving worker); under that contract the cache contents
+// after N operations are identical for any DV_THREADS and any DV_SIMD
+// level, which is what makes cached scores bitwise equal to uncached ones
+// (ctest-enforced in tests/test_cache.cpp).
 //
 // Observability: a cache constructed with a label records
 // dv_cache_{hits,misses,evictions}_total{cache="<label>"} counters and
 // keeps the dv_cache_bytes{cache="<label>"} gauge at the byte total over
-// every live cache sharing that label (per-(layer,class) SVM shards
-// aggregate into one "decision" series). Unlabeled caches record nothing.
+// every live cache sharing that label (every scorer's frame cache adds to
+// the one "activation" series). Unlabeled caches record nothing.
 //
 // The process-wide knobs (DV_CACHE=off, DV_CACHE_CAPACITY=N) are read
 // once at startup; set_cache_enabled / set_cache_capacity override them
@@ -52,8 +53,8 @@ void set_cache_enabled(bool enabled);
 /// when unset. 0 behaves like DV_CACHE=off.
 std::size_t cache_capacity();
 
-/// Overrides DV_CACHE_CAPACITY in-process. Call sites that lazily size a
-/// cache from cache_capacity() re-create it (cold) when the knob changed.
+/// Overrides DV_CACHE_CAPACITY in-process for caches constructed
+/// afterwards; a live cache keeps its capacity.
 void set_cache_capacity(std::size_t capacity);
 
 // ---------------------------------------------------------------------------
